@@ -87,29 +87,71 @@ func (h *harness) drain() {
 	h.t.Fatalf("did not drain: %d/%d reads complete, pending=%d", h.completed, h.issued, h.ctl.Pending())
 }
 
+// TestConfigValidation checks every Validate rule against every design:
+// each rule names the designs it rejects, and every other design must
+// accept the same setting (NoCache ignores cache options entirely).
 func TestConfigValidation(t *testing.T) {
+	rules := []struct {
+		name   string
+		set    func(*Config)
+		reject []Design
+	}{
+		{"no-flush-buffer", func(c *Config) { c.FlushEntries = 0 }, []Design{NDC, TDRAM}},
+		{"predictor", func(c *Config) { c.UsePredictor = true }, []Design{BEAR, NDC, TDRAM, Ideal}},
+		{"probe", func(c *Config) { c.ProbeEnabled = true }, []Design{CascadeLake, Alloy, BEAR, NDC, Ideal}},
+		{"open-page", func(c *Config) { c.OpenPage = true }, []Design{NDC, TDRAM}},
+	}
+	for _, r := range rules {
+		for d := CascadeLake; d <= NoCache; d++ {
+			wantErr := false
+			for _, x := range r.reject {
+				wantErr = wantErr || x == d
+			}
+			t.Run(r.name+"/"+d.String(), func(t *testing.T) {
+				cfg := DefaultConfig(d, testCapacity)
+				r.set(&cfg)
+				if err := cfg.Validate(); (err != nil) != wantErr {
+					t.Errorf("Validate() = %v, want error: %v", err, wantErr)
+				}
+			})
+		}
+	}
+	// The shipped defaults are valid for every design.
+	for d := CascadeLake; d <= NoCache; d++ {
+		if cfg := DefaultConfig(d, testCapacity); cfg.Validate() != nil {
+			t.Errorf("%v: default config rejected: %v", d, cfg.Validate())
+		}
+	}
 	s := sim.New()
 	mm, _ := backing.New(s, dram.DDR5Params())
 	bad := DefaultConfig(TDRAM, testCapacity)
 	bad.FlushEntries = 0
 	if _, err := New(s, bad, mm); err == nil {
-		t.Error("TDRAM without flush buffer accepted")
+		t.Error("New accepted TDRAM without flush buffer")
 	}
-	bad2 := DefaultConfig(CascadeLake, testCapacity)
-	bad2.ProbeEnabled = true
-	if _, err := New(s, bad2, mm); err == nil {
-		t.Error("probing on Cascade Lake accepted")
+}
+
+// TestDesignNames round-trips every design through its name.
+func TestDesignNames(t *testing.T) {
+	want := []string{"cascade-lake", "alloy", "bear", "ndc", "tdram", "ideal", "no-cache"}
+	for i, name := range want {
+		d := Design(i)
+		if d.String() != name {
+			t.Errorf("Design(%d).String() = %q, want %q", i, d.String(), name)
+		}
+		got, err := ParseDesign(name)
+		if err != nil || got != d {
+			t.Errorf("ParseDesign(%q) = %v, %v; want %v", name, got, err, d)
+		}
 	}
-	bad3 := DefaultConfig(TDRAM, testCapacity)
-	bad3.UsePredictor = true
-	if _, err := New(s, bad3, mm); err == nil {
-		t.Error("predictor on TDRAM accepted")
-	}
-	if _, err := ParseDesign("tdram"); err != nil {
-		t.Error(err)
+	if s := Design(99).String(); s != "design(99)" {
+		t.Errorf("Design(99).String() = %q", s)
 	}
 	if _, err := ParseDesign("bogus"); err == nil {
 		t.Error("bogus design parsed")
+	}
+	if ds := Designs(); len(ds) != 6 || ds[0] != CascadeLake || ds[5] != Ideal {
+		t.Errorf("Designs() = %v", ds)
 	}
 }
 

@@ -34,19 +34,60 @@ var goldenDesigns = []tdram.Design{
 	tdram.CascadeLake, tdram.Alloy, tdram.BEAR, tdram.NDC, tdram.TDRAM, tdram.NoCache,
 }
 
+// goldenFaultRate is high enough that a micro cell both injects faults
+// and retries detected ones, so the retry paths are pinned too.
+const goldenFaultRate = 1e-2
+
+// goldenVariant is one extra pinned cell: a design run with a non-default
+// option, so the capability branches the plain designs never take (the
+// Ideal oracle, fault retries, the predictor, open-page, the probe
+// ablations, associativity) are fingerprinted as well.
+type goldenVariant struct {
+	name   string
+	design tdram.Design
+	tweak  func(*tdram.SystemConfig)
+	fault  bool // the cell must inject and retry faults
+}
+
+var goldenVariants = []goldenVariant{
+	{"ideal", tdram.Ideal, nil, false},
+	{"tdram+fault", tdram.TDRAM, func(c *tdram.SystemConfig) {
+		c.Cache.Fault = tdram.FaultConfig{Rate: goldenFaultRate, Seed: 7}
+	}, true},
+	{"ndc+fault", tdram.NDC, func(c *tdram.SystemConfig) {
+		c.Cache.Fault = tdram.FaultConfig{Rate: goldenFaultRate, Seed: 7}
+	}, true},
+	{"cascade-lake+predictor", tdram.CascadeLake, func(c *tdram.SystemConfig) { c.Cache.UsePredictor = true }, false},
+	{"alloy+openpage", tdram.Alloy, func(c *tdram.SystemConfig) { c.Cache.OpenPage = true }, false},
+	{"tdram-noprobe", tdram.TDRAM, func(c *tdram.SystemConfig) { c.Cache.ProbeEnabled = false }, false},
+	{"tdram+probe-oldest", tdram.TDRAM, func(c *tdram.SystemConfig) { c.Cache.ProbeOldest = true }, false},
+	{"tdram+8way", tdram.TDRAM, func(c *tdram.SystemConfig) { c.Cache.Ways = 8 }, false},
+}
+
 // goldenCell runs one micro-scale simulation and fingerprints the full
 // Result via its reflected rendering (covers every exported and
 // unexported stat field, histograms included).
 func goldenCell(t testing.TB, d tdram.Design) string {
 	t.Helper()
+	h, _ := goldenRun(t, d, nil)
+	return h
+}
+
+// goldenRun runs one micro-scale cell with an optional config tweak and
+// returns its fingerprint alongside the Result.
+func goldenRun(t testing.TB, d tdram.Design, tweak func(*tdram.SystemConfig)) (string, *tdram.Result) {
+	t.Helper()
 	cfg := tdram.NewSystemConfig(d, tdram.MustWorkload("ft.C"), 8<<20)
 	cfg.RequestsPerCore = 1500
 	cfg.WarmupPerCore = 300
+	if tweak != nil {
+		tweak(&cfg)
+	}
 	res, err := tdram.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%+v", res))))
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%+v", res)))), res
 }
 
 // TestKernelStatsDeterminism runs every design twice on fresh kernels
@@ -70,9 +111,16 @@ func TestKernelStatsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden cells cover all designs; skipped under -short")
 	}
-	got := make(map[string]string, len(goldenDesigns))
+	got := make(map[string]string, len(goldenDesigns)+len(goldenVariants))
 	for _, d := range goldenDesigns {
 		got[d.String()] = goldenCell(t, d)
+	}
+	for _, v := range goldenVariants {
+		h, res := goldenRun(t, v.design, v.tweak)
+		if f := res.Cache.Fault; v.fault && (f.Injected == 0 || f.Retries == 0) {
+			t.Errorf("%s: fault cell injected %d and retried %d; both must be nonzero", v.name, f.Injected, f.Retries)
+		}
+		got[v.name] = h
 	}
 	if *updateGolden {
 		blob, err := json.MarshalIndent(got, "", "  ")
