@@ -116,15 +116,15 @@ type chanCtl struct {
 	trkEvents obs.TrackID
 }
 
-func (cc *chanCtl) cfg() *Config    { return &cc.ctl.cfg }
-func (cc *chanCtl) now() sim.Tick   { return cc.ctl.sim.Now() }
-func (cc *chanCtl) tagDevice() bool { d := cc.cfg().Design; return d == TDRAM || d == NDC }
-func (cc *chanCtl) st() *Stats      { return &cc.ctl.stats }
+func (cc *chanCtl) cfg() *Config      { return &cc.ctl.cfg }
+func (cc *chanCtl) spec() *designSpec { return &cc.ctl.spec }
+func (cc *chanCtl) now() sim.Tick     { return cc.ctl.sim.Now() }
+func (cc *chanCtl) st() *Stats        { return &cc.ctl.stats }
 
 // acceptRead admits a demand read (design-specific intake).
 func (cc *chanCtl) acceptRead(req *mem.Request, bank int) bool {
 	line := req.Line()
-	if cc.cfg().Design == Ideal {
+	if cc.spec().tags == tagsOracle {
 		return cc.acceptReadIdeal(req, line, bank)
 	}
 	if len(cc.readQ) >= ReadQueueDepth {
@@ -190,31 +190,9 @@ func (cc *chanCtl) acceptReadIdeal(req *mem.Request, line uint64, bank int) bool
 // acceptWrite admits a (posted) demand write.
 func (cc *chanCtl) acceptWrite(req *mem.Request, bank int) bool {
 	line := req.Line()
-	switch cc.cfg().Design {
-	case CascadeLake, Alloy:
-		return cc.acceptWriteTagRead(req, line, bank)
-	case BEAR:
-		// DRAM-cache-presence bits: write-hits skip the tag-check read.
-		pr := cc.ctl.tags.probe(line)
-		if pr.Hit {
-			if len(cc.writeQ) >= WriteQueueDepth {
-				return false
-			}
-			// The DCP bit answers the write-hit without any tag read, so
-			// no tag-check latency sample exists for this demand.
-			outcome, _, _ := cc.ctl.tags.access(line, true, true)
-			cc.st().Outcomes.Add(outcome)
-			cc.observeOutcome(outcome, cc.now())
-			cc.ctl.bearObserve(line, outcome)
-			cc.writeQ = append(cc.writeQ, &txn{
-				cc: cc, kind: txnWrite, req: req, line: line, bank: bank, row: cc.rowOf(line), arrive: cc.now(),
-				outcomeKnown: true, outcome: outcome,
-			})
-			cc.pass()
-			return true
-		}
-		return cc.acceptWriteTagRead(req, line, bank)
-	case NDC, TDRAM:
+	switch cc.spec().tags {
+	case tagsInDevice:
+		// The ActWr performs its own tag check at commit.
 		if len(cc.writeQ) >= WriteQueueDepth {
 			return false
 		}
@@ -223,7 +201,7 @@ func (cc *chanCtl) acceptWrite(req *mem.Request, bank int) bool {
 		})
 		cc.pass()
 		return true
-	case Ideal:
+	case tagsOracle:
 		if len(cc.writeQ) >= WriteQueueDepth {
 			return false
 		}
@@ -246,7 +224,25 @@ func (cc *chanCtl) acceptWrite(req *mem.Request, bank int) bool {
 		cc.pass()
 		return true
 	}
-	panic("dramcache: unhandled design in acceptWrite")
+	if cc.spec().dcp && cc.ctl.tags.probe(line).Hit {
+		// DRAM-cache-presence bits: write-hits skip the tag-check read.
+		if len(cc.writeQ) >= WriteQueueDepth {
+			return false
+		}
+		// The DCP bit answers the write-hit without any tag read, so no
+		// tag-check latency sample exists for this demand.
+		outcome, _, _ := cc.ctl.tags.access(line, true, true)
+		cc.st().Outcomes.Add(outcome)
+		cc.observeOutcome(outcome, cc.now())
+		cc.ctl.bearObserve(line, outcome)
+		cc.writeQ = append(cc.writeQ, &txn{
+			cc: cc, kind: txnWrite, req: req, line: line, bank: bank, row: cc.rowOf(line), arrive: cc.now(),
+			outcomeKnown: true, outcome: outcome,
+		})
+		cc.pass()
+		return true
+	}
+	return cc.acceptWriteTagRead(req, line, bank)
 }
 
 // acceptWriteTagRead queues the CL-family tag-check read for a write.
@@ -287,12 +283,13 @@ func (cc *chanCtl) rowOf(line uint64) int {
 
 // op builds the device operation for a transaction.
 func (cc *chanCtl) op(t *txn) dram.Op {
-	cfg := cc.cfg()
+	sp := cc.spec()
+	tag := sp.tags == tagsInDevice
 	switch t.kind {
 	case txnRead, txnWriteTagRead, txnVictimRead:
-		return dram.Op{Kind: dram.OpRead, Bank: t.bank, Row: t.row, Tag: cc.tagDevice(), Burst: cfg.ReadBurst}
+		return dram.Op{Kind: dram.OpRead, Bank: t.bank, Row: t.row, Tag: tag, Burst: sp.readBurst}
 	default: // txnWrite, txnFill
-		return dram.Op{Kind: dram.OpWrite, Bank: t.bank, Row: t.row, Tag: cc.tagDevice(), Burst: cfg.WriteBurst}
+		return dram.Op{Kind: dram.OpWrite, Bank: t.bank, Row: t.row, Tag: tag, Burst: sp.writeBurst}
 	}
 }
 
@@ -307,7 +304,7 @@ func (cc *chanCtl) issuable(t *txn) bool {
 		// MAIN slot on a request it may be about to retire.
 		return false
 	}
-	if t.kind == txnWrite && cc.tagDevice() && !t.outcomeKnown {
+	if t.kind == txnWrite && cc.spec().tags == tagsInDevice && !t.outcomeKnown {
 		// An ActWr that would displace a dirty victim needs flush space.
 		pr := cc.ctl.tags.probe(t.line)
 		if !pr.Hit && pr.Dirty && len(cc.flush) >= cc.cfg().FlushEntries {

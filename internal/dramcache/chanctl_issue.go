@@ -17,7 +17,7 @@ func (cc *chanCtl) readFault(t *txn, iss dram.Issue) bool {
 	if in == nil {
 		return false
 	}
-	if cc.tagDevice() && !t.outcomeKnown && in.TagRead() == fault.Detected {
+	if cc.spec().tags == tagsInDevice && !t.outcomeKnown && in.TagRead() == fault.Detected {
 		return cc.faultRetry(t, iss)
 	}
 	if in.DataBeat() == fault.Detected {
@@ -32,7 +32,7 @@ func (cc *chanCtl) readFault(t *txn, iss dram.Issue) bool {
 // and the tag access itself is never redone.
 func (cc *chanCtl) hmRetransmit() sim.Tick {
 	in := cc.ctl.fault
-	if in == nil || cc.cfg().Design != TDRAM {
+	if in == nil || !cc.spec().hmBus {
 		return 0
 	}
 	var d sim.Tick
@@ -55,7 +55,7 @@ func (cc *chanCtl) hmRetransmit() sim.Tick {
 // available at the controller: on the HM bus for TDRAM (§III-D1), with
 // the data/tag burst for every other design.
 func (cc *chanCtl) tagDoneAt(iss dram.Issue) sim.Tick {
-	if cc.cfg().Design == TDRAM {
+	if cc.spec().hmBus {
 		return iss.HMAt
 	}
 	return iss.DataEnd
@@ -82,17 +82,17 @@ func recordTagEv(a any, when sim.Tick) {
 // meterColRead accounts one column read moving bytes to the controller.
 func (cc *chanCtl) meterColRead() {
 	cc.ctl.meter.Cols++
-	cc.ctl.meter.Bytes += cc.cfg().ReadBytes
+	cc.ctl.meter.Bytes += cc.spec().readBytes
 }
 
 func (cc *chanCtl) meterColWrite() {
 	cc.ctl.meter.Cols++
-	cc.ctl.meter.Bytes += cc.cfg().WriteBytes
+	cc.ctl.meter.Bytes += cc.spec().writeBytes
 }
 
 // issueRead handles a committed demand-read access.
 func (cc *chanCtl) issueRead(t *txn, iss dram.Issue) {
-	cfg := cc.cfg()
+	sp := cc.spec()
 	tr := &cc.st().Traffic
 	if cc.ctl.fault != nil && cc.readFault(t, iss) {
 		return
@@ -110,7 +110,7 @@ func (cc *chanCtl) issueRead(t *txn, iss dram.Issue) {
 		case mem.ReadHit:
 			cc.meterColRead()
 			tr.DemandBytes += 64
-			tr.OverheadBytes += cfg.ReadBytes - 64
+			tr.OverheadBytes += sp.readBytes - 64
 			if r := t.req; r != nil {
 				if j := r.J; j != nil {
 					j.Span(mem.PhaseDQBurst, iss.DataEnd-iss.DataStart)
@@ -122,7 +122,7 @@ func (cc *chanCtl) issueRead(t *txn, iss dram.Issue) {
 			// the demand's backing fetch started at probe time.
 			cc.meterColRead()
 			tr.VictimBytes += 64
-			tr.OverheadBytes += cfg.ReadBytes - 64
+			tr.OverheadBytes += sp.readBytes - 64
 			cc.ctl.sim.ScheduleArgAt(iss.DataEnd, probedVictimEv, t)
 		default:
 			panic("dramcache: unexpected pre-known read outcome " + t.outcome.String())
@@ -132,11 +132,9 @@ func (cc *chanCtl) issueRead(t *txn, iss dram.Issue) {
 
 	// The tag check commits with this access.
 	install := true
-	if cfg.Design == BEAR {
-		if pr := cc.ctl.tags.probe(t.line); !pr.Hit && cc.ctl.bearBypassFill(t.line) {
-			install = false
-			cc.st().FillsBypassed++
-		}
+	if sp.dcp && !cc.ctl.tags.probe(t.line).Hit && cc.ctl.bearBypassFill(t.line) {
+		install = false
+		cc.st().FillsBypassed++
 	}
 	outcome, victim, _ := cc.ctl.tags.access(t.line, false, install)
 	t.outcome, t.outcomeKnown, t.victim = outcome, true, victim
@@ -155,7 +153,7 @@ func (cc *chanCtl) issueRead(t *txn, iss dram.Issue) {
 		cc.ctl.scorePrefetch(t.line)
 		cc.meterColRead()
 		tr.DemandBytes += 64
-		tr.OverheadBytes += cfg.ReadBytes - 64
+		tr.OverheadBytes += sp.readBytes - 64
 		if r := t.req; r != nil {
 			if j := r.J; j != nil {
 				j.Span(mem.PhaseDQBurst, iss.DataEnd-iss.DataStart)
@@ -164,20 +162,20 @@ func (cc *chanCtl) issueRead(t *txn, iss dram.Issue) {
 		cc.completeReadAt(t, iss.DataEnd)
 
 	case mem.ReadMissClean:
-		switch cfg.Design {
-		case TDRAM:
+		switch sp.missClean {
+		case missCleanSkip:
 			// Conditional column operation: the in-DRAM compare gated the
 			// column decode — no column op, no DQ transfer. The reserved
 			// DQ slot drains one flush-buffer entry instead (§III-D2).
 			cc.drainIdleSlot(iss.DataStart)
-		case NDC:
+		case missCleanColumnOnly:
 			// NDC always performs the column operation (energy) but
 			// transfers nothing on a miss-clean (§VI).
 			cc.ctl.meter.Cols++
 		default:
 			cc.meterColRead()
 			tr.DiscardBytes += 64
-			tr.OverheadBytes += cfg.ReadBytes - 64
+			tr.OverheadBytes += sp.readBytes - 64
 		}
 		if install {
 			cc.ctl.markInflight(t.line)
@@ -188,7 +186,7 @@ func (cc *chanCtl) issueRead(t *txn, iss dram.Issue) {
 		// Dirty victim streams back with hit timing in every design.
 		cc.meterColRead()
 		tr.VictimBytes += 64
-		tr.OverheadBytes += cfg.ReadBytes - 64
+		tr.OverheadBytes += sp.readBytes - 64
 		cc.ctl.markInflight(t.line)
 		cc.ctl.sim.ScheduleArgAt(iss.DataEnd, writebackVictimEv, t)
 		cc.resolveMissRead(t, tagAt, true)
@@ -209,7 +207,7 @@ func (cc *chanCtl) journeyTagSpans(t *txn, iss dram.Issue, tagAt sim.Tick) {
 		return
 	}
 	j.Note(t.outcome)
-	if cc.cfg().Design == TDRAM {
+	if cc.spec().hmBus {
 		j.Span(mem.PhaseTagCheck, iss.TagInt-iss.At)
 		j.Span(mem.PhaseHMBus, tagAt-iss.TagInt)
 	} else {
@@ -310,7 +308,7 @@ func completeReadEv(a any, when sim.Tick) {
 
 // issueWriteTagRead handles the CL-family tag-check read for a write.
 func (cc *chanCtl) issueWriteTagRead(t *txn, iss dram.Issue) {
-	cfg := cc.cfg()
+	sp := cc.spec()
 	tr := &cc.st().Traffic
 	if cc.ctl.fault != nil && cc.ctl.fault.DataBeat() == fault.Detected && cc.faultRetry(t, iss) {
 		return
@@ -336,7 +334,7 @@ func (cc *chanCtl) issueWriteTagRead(t *txn, iss dram.Issue) {
 		// moment the comparison completes (§II-B3).
 		tr.DiscardBytes += 64
 	}
-	tr.OverheadBytes += cfg.ReadBytes - 64
+	tr.OverheadBytes += sp.readBytes - 64
 	cc.recordTag(t, iss.DataEnd)
 	w := &txn{
 		cc: cc, kind: txnWrite, req: t.req, line: t.line, bank: t.bank, row: t.row, arrive: cc.now(),
@@ -369,7 +367,7 @@ func (cc *chanCtl) enqueueWriteTxn(w *txn) {
 
 // issueWrite handles a committed data write (demand write or ActWr).
 func (cc *chanCtl) issueWrite(t *txn, iss dram.Issue) {
-	cfg := cc.cfg()
+	sp := cc.spec()
 	tr := &cc.st().Traffic
 	if !t.outcomeKnown {
 		// NDC/TDRAM ActWr: the tag check happens in-DRAM at commit. A
@@ -394,7 +392,7 @@ func (cc *chanCtl) issueWrite(t *txn, iss dram.Issue) {
 	}
 	cc.meterColWrite()
 	tr.DemandBytes += 64
-	tr.OverheadBytes += cfg.WriteBytes - 64
+	tr.OverheadBytes += sp.writeBytes - 64
 	if r := t.req; r != nil {
 		if j := r.J; j != nil {
 			j.Exit(mem.PhaseFlushStall, iss.At)
@@ -408,25 +406,22 @@ func (cc *chanCtl) issueWrite(t *txn, iss dram.Issue) {
 }
 
 // issueFill writes fetched miss data into the cache.
-func (cc *chanCtl) issueFill(t *txn, iss dram.Issue) {
-	cfg := cc.cfg()
+func (cc *chanCtl) issueFill(t *txn, _ dram.Issue) {
 	cc.meterColWrite()
 	cc.st().Traffic.FillBytes += 64
-	cc.st().Traffic.OverheadBytes += cfg.WriteBytes - 64
+	cc.st().Traffic.OverheadBytes += cc.spec().writeBytes - 64
 	cc.ctl.tags.fillDone(t.line)
-	_ = iss
 }
 
 // issueVictimRead fetches a dirty victim's data (Ideal design).
 func (cc *chanCtl) issueVictimRead(t *txn, iss dram.Issue) {
-	cfg := cc.cfg()
 	if cc.ctl.fault != nil && cc.ctl.fault.DataBeat() == fault.Detected && cc.faultRetry(t, iss) {
 		return
 	}
 	cc.st().ReadQueueing.AddTick(iss.At - t.arrive)
 	cc.meterColRead()
 	cc.st().Traffic.VictimBytes += 64
-	cc.st().Traffic.OverheadBytes += cfg.ReadBytes - 64
+	cc.st().Traffic.OverheadBytes += cc.spec().readBytes - 64
 	cc.ctl.sim.ScheduleArgAt(iss.DataEnd, victimReadDoneEv, t)
 }
 
@@ -679,13 +674,14 @@ func (cc *chanCtl) refreshDrain(start, end sim.Tick) {
 // when completely full — refresh windows and miss-clean slots cover the
 // rest (§III-D2).
 func (cc *chanCtl) needExplicitDrain() bool {
-	if !cc.tagDevice() || len(cc.flush) == 0 {
+	drain := cc.spec().drain
+	if drain == drainNone || len(cc.flush) == 0 {
 		return false
 	}
 	if cc.forceDrain {
 		return true
 	}
-	if cc.cfg().Design == NDC {
+	if drain == drainRES {
 		return len(cc.flush) >= cc.cfg().FlushEntries*3/4 ||
 			(len(cc.readQ) == 0 && len(cc.writeQ) == 0)
 	}
@@ -706,7 +702,7 @@ func (cc *chanCtl) tryExplicitDrain(now sim.Tick) bool {
 	}
 	cc.st().FlushDrainExplicit++
 	cc.observeFlushDrain("explicit")
-	if cc.cfg().Design == TDRAM {
+	if cc.spec().hmBus {
 		cc.st().FlushStalls++
 	}
 	cc.st().Traffic.VictimBytes += 64

@@ -121,10 +121,11 @@ func (s *Stats) BloatFactor() float64 {
 // protocol on the cache device, and falls through to the backing store
 // on misses.
 type Controller struct {
-	sim *sim.Simulator
-	cfg Config
-	dev *dram.Device // nil for NoCache
-	mm  *backing.Memory
+	sim  *sim.Simulator
+	cfg  Config
+	spec designSpec   // cfg.Design's capability row
+	dev  *dram.Device // nil for NoCache
+	mm   *backing.Memory
 
 	tags  *tagStore
 	chans []*chanCtl
@@ -202,6 +203,7 @@ func New(s *sim.Simulator, cfg Config, mm *backing.Memory) (*Controller, error) 
 	c := &Controller{
 		sim:      s,
 		cfg:      cfg,
+		spec:     cfg.Design.spec(),
 		mm:       mm,
 		inflight: make(map[uint64][]*mem.Request),
 		mmMeter:  energy.NewMeter(energy.DDR5(), mm.Device().Channels()),
@@ -226,7 +228,7 @@ func New(s *sim.Simulator, cfg Config, mm *backing.Memory) (*Controller, error) 
 			c.pumpWritebacks()
 		}
 	}
-	if cfg.Design == NoCache {
+	if c.spec.tags == tagsNone {
 		return c, nil
 	}
 	c.fault = fault.New(cfg.Fault)
@@ -246,7 +248,7 @@ func New(s *sim.Simulator, cfg Config, mm *backing.Memory) (*Controller, error) 
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Design == TDRAM || cfg.Design == NDC {
+	if c.spec.tags == tagsInDevice {
 		// The base-die BIST initializes tags and verifies the on-die ECC
 		// paths at startup (§III-C3).
 		if err := ecc.SelfCheck(); err != nil {
@@ -258,9 +260,8 @@ func New(s *sim.Simulator, cfg Config, mm *backing.Memory) (*Controller, error) 
 	for i := range c.chans {
 		cc := &chanCtl{ctl: c, ch: dev.Channel(i), index: i}
 		c.chans[i] = cc
-		if cfg.Design == TDRAM {
-			ch := dev.Channel(i)
-			ch.OnRefresh = cc.refreshDrain
+		if c.spec.hmBus {
+			cc.ch.OnRefresh = cc.refreshDrain
 		}
 	}
 	if cfg.UsePredictor {
@@ -477,7 +478,7 @@ func (c *Controller) Enqueue(req *mem.Request) bool {
 	req.Arrive = c.sim.Now()
 	line := req.Line()
 
-	if c.cfg.Design == NoCache {
+	if c.spec.tags == tagsNone {
 		return c.enqueueNoCache(req)
 	}
 
@@ -802,9 +803,6 @@ func (c *Controller) bearRole(line uint64) int {
 // traffic (bypassing costs no hits) bypasses its fills, saving fill
 // bandwidth; traffic with reuse keeps filling.
 func (c *Controller) bearBypassFill(line uint64) bool {
-	if !c.cfg.BypassAdaptive {
-		return false
-	}
 	switch c.bearRole(line) {
 	case bearFillLeader:
 		return false
@@ -820,10 +818,7 @@ func (c *Controller) bearBypassFill(line uint64) bool {
 // turn future write-hits into write-misses must show up in the leaders'
 // miss counts.
 func (c *Controller) bearObserve(line uint64, outcome mem.Outcome) {
-	if c.cfg.Design != BEAR {
-		return
-	}
-	if outcome.IsHit() {
+	if !c.spec.dcp || outcome.IsHit() {
 		return
 	}
 	switch c.bearRole(line) {

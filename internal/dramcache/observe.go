@@ -118,7 +118,7 @@ func (cc *chanCtl) observeOutcome(outcome mem.Outcome, at sim.Tick) {
 	o.Inc("cache.outcome." + outcome.String())
 	if cc.trkEvents != 0 {
 		kind := "tag-result "
-		if cc.tagDevice() {
+		if cc.spec().tags == tagsInDevice {
 			kind = "HM-result "
 		}
 		o.Instant(cc.trkEvents, kind+outcome.String(), at)

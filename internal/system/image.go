@@ -164,7 +164,7 @@ func (img *WarmupImage) CompatibleWith(cfg Config) error {
 	if img.prewarmN != n {
 		return mismatch("prewarm accesses", img.prewarmN, n)
 	}
-	if img.tags == nil && cfg.Cache.CapacityBytes > 0 && cfg.Cache.Design != dramcache.NoCache {
+	if img.tags == nil && cfg.Cache.CapacityBytes > 0 && cfg.Cache.Design.Cached() {
 		return fmt.Errorf("%w: image has no cache content but config has a tag store", ErrIncompatibleImage)
 	}
 	return nil
