@@ -7,16 +7,7 @@
 //	tdsim -design tdram -workload ft.C
 //	tdsim -design cascade-lake -workload pr.25 -capacity 33554432
 //	tdsim -design tdram -workload ft.C -trace out.json -metrics out.csv
-//	tdsim -experiments -scale quick -jobs 4
 //	tdsim -show-config
-//
-// With -experiments, tdsim runs the full (design x workload) evaluation
-// matrix at -scale instead of one simulation, fanning cells out across
-// -jobs workers (default GOMAXPROCS), and prints every matrix-derived
-// figure and table. A failed cell is reported and skipped, not fatal.
-// By default the matrix shares one warmup image per workload across the
-// designs (bit-identical to a full replay; -snapshot-warmup=false
-// replays warmup per cell instead).
 //
 // With -trace, the run records every committed DRAM command, tag-check
 // result, probe and flush-buffer event as Chrome trace-event JSON; load
@@ -60,10 +51,6 @@ func main() {
 		metricsEvery  = flag.String("metrics-interval", "1us", "metrics sampling period of simulated time (e.g. 500ns, 1us)")
 		latency       = flag.Bool("latency", false, "attribute per-request latency and print the journey breakdown")
 		flightDepth   = flag.Int("flight-recorder", 0, "keep a flight recorder of the last N request journeys (0 disables)")
-		experiments   = flag.Bool("experiments", false, "run the evaluation matrix and print every figure/table")
-		scaleName     = flag.String("scale", "quick", "matrix scale for -experiments: quick or full")
-		jobs          = flag.Int("jobs", 0, "matrix cells simulated concurrently for -experiments (0 = GOMAXPROCS)")
-		snapWarmup    = flag.Bool("snapshot-warmup", true, "share one warmup image per workload across matrix designs (false replays warmup per cell)")
 		list          = flag.Bool("list", false, "list workloads and exit")
 		showConfig    = flag.Bool("show-config", false, "print the Table III device timing and exit")
 		showOverheads = flag.Bool("show-overheads", false, "print the paper's analytical area/pin overheads and exit")
@@ -83,12 +70,6 @@ func main() {
 	}
 	if *showOverheads {
 		printOverheads()
-		return
-	}
-	if *experiments {
-		if err := runExperiments(*scaleName, *jobs, *snapWarmup); err != nil {
-			fatal(err)
-		}
 		return
 	}
 
@@ -177,40 +158,6 @@ func printJourneys(o *tdram.Observer) {
 			fmt.Printf("      %-14s %8.1fns/req\n", p, sum.Nanoseconds()/float64(n))
 		}
 	}
-}
-
-// runExperiments executes the evaluation matrix with a bounded worker
-// pool and renders every matrix-derived figure/table. Per-cell failures
-// are reported on stderr; completed cells still render, and the error
-// return (nonzero exit) records that the sweep was partial.
-func runExperiments(scaleName string, jobs int, snapshotWarmup bool) error {
-	var scale tdram.Scale
-	switch scaleName {
-	case "quick":
-		scale = tdram.QuickScale()
-	case "full":
-		scale = tdram.FullScale()
-	default:
-		return fmt.Errorf("unknown scale %q (quick or full)", scaleName)
-	}
-	progress := func(s string) { fmt.Fprintln(os.Stderr, s) }
-	m, err := tdram.RunMatrixOpts(scale, tdram.MatrixOptions{
-		Jobs: jobs, Progress: progress, ReplayWarmup: !snapshotWarmup,
-	})
-	if err != nil && len(m.Results) == 0 {
-		return err
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tdsim: WARNING: %d matrix cell(s) failed; rendering the %d completed cells\n",
-			len(m.MissingCells()), len(m.Results))
-	}
-	for _, rep := range tdram.ReproduceFigures(m) {
-		fmt.Println(rep)
-	}
-	if err != nil {
-		return fmt.Errorf("%d matrix cell(s) failed", len(m.MissingCells()))
-	}
-	return nil
 }
 
 // writeObservations saves the run's trace and metrics files and prints

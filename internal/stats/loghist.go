@@ -14,10 +14,9 @@ import (
 // relative quantization error is bounded by 2^-logHistSubBits (< 1.6 %,
 // < 0.8 % to the bucket midpoint) at every magnitude from picoseconds to
 // milliseconds. Values below one full octave (< 2^logHistSubBits ticks)
-// get exact one-tick buckets. Unlike the linear Hist, it has no overflow
-// bucket to swallow the tail: any tick value maps to a real bucket, so
-// tail percentiles (p99, p99.9) stay resolved no matter how slow the
-// slowest request was.
+// get exact one-tick buckets. There is no overflow bucket to swallow the
+// tail: any tick value maps to a real bucket, so tail percentiles (p99,
+// p99.9) stay resolved no matter how slow the slowest request was.
 //
 // The counts slice grows lazily to the highest bucket touched, additions
 // are O(1) with no floating-point involved, and two histograms merge
@@ -186,8 +185,8 @@ func (h *LogHist) Each(fn func(lo, hi sim.Tick, count uint64)) {
 }
 
 // String renders the histogram's full content with a sparse bucket list.
-// Like Hist.String, this is what keeps a reflected stats dump (fmt %+v)
-// deterministic: a nested *LogHist renders its values, not its address.
+// This is what keeps a reflected stats dump (fmt %+v) deterministic: a
+// nested *LogHist renders its values, not its address.
 func (h *LogHist) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "loghist{n=%d sum=%d min=%d max=%d b=[", h.n, h.sum, h.min, h.max)

@@ -57,80 +57,6 @@ func (m *Mean) Value() float64 {
 	return m.sum / float64(m.n)
 }
 
-// Hist is a fixed-bucket histogram over [0, bucketWidth*len(counts)) with
-// an overflow bucket.
-type Hist struct {
-	width    float64
-	counts   []uint64
-	overflow uint64
-	mean     Mean
-}
-
-// NewHist returns a histogram with n buckets of the given width.
-func NewHist(n int, width float64) *Hist {
-	if n <= 0 || width <= 0 {
-		panic("stats: histogram needs positive buckets and width")
-	}
-	return &Hist{width: width, counts: make([]uint64, n)}
-}
-
-// Add records a sample.
-func (h *Hist) Add(v float64) {
-	h.mean.Add(v)
-	i := int(v / h.width)
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.counts) {
-		h.overflow++
-		return
-	}
-	h.counts[i]++
-}
-
-// String renders the histogram's full content (width, per-bucket
-// counts, overflow, moments). Besides debugging, this is what makes a
-// reflected dump of a stats tree (fmt %+v) deterministic: without it,
-// nested *Hist fields print as heap addresses, which vary run to run.
-func (h *Hist) String() string {
-	return fmt.Sprintf("hist{w=%g counts=%v overflow=%d mean=%+v}", h.width, h.counts, h.overflow, h.mean)
-}
-
-// N reports the sample count.
-func (h *Hist) N() uint64 { return h.mean.N() }
-
-// Mean reports the sample mean.
-func (h *Hist) Mean() float64 { return h.mean.Value() }
-
-// Percentile reports the value below which frac of samples fall,
-// resolved to bucket granularity. frac must be in (0, 1]. Percentiles
-// landing in the overflow bucket interpolate linearly between the
-// histogram's upper boundary and the largest sample by overflow rank,
-// rather than silently saturating at Max(): with the overflow region
-// unresolved, rank position is the only information available, and an
-// explicit estimate keeps p50 < p90 < p99 ordering instead of
-// collapsing every overflowed percentile onto one value.
-func (h *Hist) Percentile(frac float64) float64 {
-	if h.mean.N() == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(frac * float64(h.mean.N())))
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= target {
-			return float64(i+1) * h.width
-		}
-	}
-	// The target rank lies among the overflow samples.
-	bound := float64(len(h.counts)) * h.width
-	if h.overflow == 0 {
-		return bound // unreachable: the loop covers all non-overflow ranks
-	}
-	rank := target - (h.mean.N() - h.overflow) // 1-based rank within overflow
-	return bound + (h.mean.Max()-bound)*float64(rank)/float64(h.overflow)
-}
-
 // GeoMean returns the geometric mean of vs, ignoring non-positive,
 // NaN and infinite values (degenerate ratios from empty measurements).
 // It returns 0 for an empty input.

@@ -59,35 +59,6 @@ func TestMeanMinMax(t *testing.T) {
 	}
 }
 
-func TestHist(t *testing.T) {
-	h := NewHist(10, 1.0)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i%10) + 0.5)
-	}
-	if h.N() != 100 {
-		t.Fatalf("N=%d", h.N())
-	}
-	if got := h.Percentile(0.5); got != 5 {
-		t.Errorf("p50 = %v, want 5", got)
-	}
-	if math.Abs(h.Mean()-5.0) > 1e-9 {
-		t.Errorf("mean = %v", h.Mean())
-	}
-	h.Add(1e9) // overflow bucket
-	if h.Percentile(1.0) != 1e9 {
-		t.Errorf("p100 with overflow = %v", h.Percentile(1.0))
-	}
-}
-
-func TestHistPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewHist(0, ...) did not panic")
-		}
-	}()
-	NewHist(0, 1)
-}
-
 func TestGeoMean(t *testing.T) {
 	if g := GeoMean([]float64{2, 8}); math.Abs(g-4) > 1e-9 {
 		t.Errorf("GeoMean(2,8) = %v", g)
