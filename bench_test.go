@@ -54,8 +54,9 @@ func geomean(vs []float64) float64 {
 // BenchmarkKernelSystem is the event-kernel end-to-end cell: one
 // TDRAM-design run of a single workload, so the measurement is dominated
 // by schedule/fire churn on the simulation core rather than by figure
-// bookkeeping. Its ns/op and allocs/op are the full-system numbers
-// recorded in BENCH_kernel.json.
+// bookkeeping. Its ns/op and allocs/op are the full-system kernel
+// numbers CI uploads per push; the end-to-end benchmark is
+// `bash bench/run.sh` (see bench/README.md).
 func BenchmarkKernelSystem(b *testing.B) {
 	wl := tdram.MustWorkload("ft.C")
 	b.ReportAllocs()
