@@ -131,6 +131,17 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsUnknownDesign: a Design outside the capability
+// table has no row to run, so it must not validate (as NoCache or
+// otherwise).
+func TestValidateRejectsUnknownDesign(t *testing.T) {
+	for _, d := range []Design{-1, NoCache + 1, 99} {
+		if cfg := DefaultConfig(d, testCapacity); cfg.Validate() == nil {
+			t.Errorf("%v accepted", d)
+		}
+	}
+}
+
 // TestDesignNames round-trips every design through its name.
 func TestDesignNames(t *testing.T) {
 	want := []string{"cascade-lake", "alloy", "bear", "ndc", "tdram", "ideal", "no-cache"}
