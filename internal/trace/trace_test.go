@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -234,6 +236,48 @@ func TestPlayerPrewarm(t *testing.T) {
 	}
 	if st.DemandReads != 100 {
 		t.Errorf("replayed demands = %d, want 100", st.DemandReads)
+	}
+}
+
+// TestPlayerPrewarmPinned fingerprints a trace replay whose leading half
+// warms the cache functionally: a store-heavy trace over a footprint
+// several times the cache, so the warm pass installs, evicts and dirties
+// lines. The fingerprints pin the warm transition and everything the
+// replayed tail sees of it; any change to how Prewarm builds the cache
+// content shows up here. Regenerate by running with -v and copying the
+// logged values after an intentional model change.
+func TestPlayerPrewarmPinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var events []Event
+	tick := sim.Tick(0)
+	for i := 0; i < 2000; i++ {
+		tick += sim.Tick(rng.Intn(6000))
+		kind := mem.Read
+		if rng.Intn(100) < 40 {
+			kind = mem.Write
+		}
+		events = append(events, Event{Tick: tick, Core: uint8(i % 8), Kind: kind,
+			Line: uint64(rng.Intn(12000))})
+	}
+	want := map[dramcache.Design]string{
+		dramcache.TDRAM:       "a46d8e0859f89e4cecf0c9dac48918d6824698d59aa4ac2fcfc814f3ad57d22a",
+		dramcache.CascadeLake: "736b0d3340eebfbccb600bb5b910e63a35dce92b7ca4dbc4244d8e25055a2cbf",
+		dramcache.NoCache:     "0987ac4f5a8bc0b73695a049cd58ebbaae7d26c8e1e5da4386aa4e55b07e757a",
+	}
+	for d, fp := range want {
+		s, ctl := newCtl(t, d)
+		p := NewPlayer(s, ctl, events)
+		p.Prewarm(0.5)
+		runtime, err := p.Run()
+		if err != nil {
+			t.Fatalf("%v: %v", d, err)
+		}
+		valid, dirty := ctl.Occupancy()
+		got := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%v %v %v %+v", runtime, valid, dirty, *ctl.Stats()))))
+		t.Logf("%v: %s", d, got)
+		if got != fp {
+			t.Errorf("%v: replay fingerprint %s, pinned %s", d, got, fp)
+		}
 	}
 }
 

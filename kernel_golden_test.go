@@ -62,6 +62,16 @@ var goldenVariants = []goldenVariant{
 	{"tdram-noprobe", tdram.TDRAM, func(c *tdram.SystemConfig) { c.Cache.ProbeEnabled = false }, false},
 	{"tdram+probe-oldest", tdram.TDRAM, func(c *tdram.SystemConfig) { c.Cache.ProbeOldest = true }, false},
 	{"tdram+8way", tdram.TDRAM, func(c *tdram.SystemConfig) { c.Cache.Ways = 8 }, false},
+	// Store-heavy and footprint-heavy streams: the functional warmup sees
+	// dirty L2 victims and cache evictions, so these pin the warm content
+	// every cell starts from, for a tag store and for none.
+	{"tdram@is.D", tdram.TDRAM, func(c *tdram.SystemConfig) { c.Workload = tdram.MustWorkload("is.D") }, false},
+	{"no-cache@is.D", tdram.NoCache, func(c *tdram.SystemConfig) { c.Workload = tdram.MustWorkload("is.D") }, false},
+	{"bear@pr.25", tdram.BEAR, func(c *tdram.SystemConfig) { c.Workload = tdram.MustWorkload("pr.25") }, false},
+	{"tdram+8way@cc.25", tdram.TDRAM, func(c *tdram.SystemConfig) {
+		c.Workload = tdram.MustWorkload("cc.25")
+		c.Cache.Ways = 8
+	}, false},
 }
 
 // goldenCell runs one micro-scale simulation and fingerprints the full
