@@ -13,11 +13,9 @@
 //	tdbench -v                       # per-run progress lines
 //
 // The matrix fans its (design, workload) cells out across -jobs workers
-// (default: GOMAXPROCS); results are bit-identical to a serial run. By
-// default one warmup image is built per workload and every design cell
-// forks from it instead of replaying the design-independent prewarm
-// (-snapshot-warmup=false restores per-cell replay; results are
-// bit-identical either way). A
+// (default: GOMAXPROCS); results are bit-identical to a serial run. One
+// warmup image is built per workload and every design cell forks from it
+// instead of repeating the design-independent functional warmup. A
 // failed cell does not abort the sweep: the finished cells still render
 // (reports note the skipped workloads) and tdbench exits nonzero.
 package main
@@ -95,7 +93,6 @@ func run() error {
 		csvDir     = flag.String("csv", "", "also write each experiment's table as <dir>/<id>.csv")
 		jsonOut    = flag.Bool("json", false, "write a machine-readable run summary to BENCH_<timestamp>.json")
 		jobs       = flag.Int("jobs", 0, "matrix cells simulated concurrently (0 = GOMAXPROCS)")
-		snapWarmup = flag.Bool("snapshot-warmup", true, "share one warmup image per workload across matrix designs (false replays warmup per cell)")
 		faultRate  = flag.Float64("fault-rate", 0, "per-access fault-injection probability applied to every cache run (0 disables)")
 		faultSeed  = flag.Uint64("fault-seed", 1, "fault-injection PRNG seed")
 		watchdog   = flag.String("watchdog", "", "override the scale's no-progress watchdog window (e.g. 10ms; 0 disables)")
@@ -217,7 +214,7 @@ func run() error {
 			len(scale.Workloads), 7, scale.Name, njobs)
 		var err error
 		m, err = tdram.RunMatrixOpts(scale, tdram.MatrixOptions{
-			Jobs: *jobs, Progress: progress, ReplayWarmup: !*snapWarmup, Context: ctx,
+			Jobs: *jobs, Progress: progress, Context: ctx,
 		})
 		if err != nil {
 			// Per-cell failures: render whatever completed, exit nonzero.

@@ -145,7 +145,9 @@ func replay(args []string) error {
 		return err
 	}
 	player := trace.NewPlayer(s, ctl, events)
-	player.Prewarm(*warmFrac)
+	if err := player.Prewarm(*warmFrac); err != nil {
+		return err
+	}
 	runtime, err := player.Run()
 	if err != nil {
 		return err

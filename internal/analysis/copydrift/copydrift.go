@@ -1,25 +1,26 @@
-// Package copydrift defines an Analyzer that proves snapshot/fork copy
-// functions complete: every field of a copied struct is either covered
-// by its designated copier or explicitly annotated as shared.
+// Package copydrift defines an Analyzer that proves fork copy functions
+// complete: every field of a copied struct is either covered by its
+// designated copier or explicitly annotated as shared.
 //
-// The simulator's determinism story leans on deep-copy forking —
-// sim.Snapshot/Restore, system.WarmupImage, the cache and workload
-// Clone methods. Adding a field to one of those structs without
-// updating its copier silently breaks bit-identical replay, and the
-// goldens only catch it when the new field happens to perturb a
-// measured number. This analyzer turns the omission into a lint error.
+// The simulator's determinism story leans on deep-copy forking — every
+// run installs copies of a system.WarmupImage, built from the cache,
+// workload and tag-store copiers. Adding a field to one of those
+// structs without updating its copier silently breaks bit-identical
+// forks, and the goldens only catch it when the new field happens to
+// perturb a measured number. This analyzer turns the omission into a
+// lint error.
 //
 // Grammar. A function is designated as the copier for a struct type
 // with a doc-comment directive:
 //
-//	//tdlint:copier wheel
-//	func copyWheel(dst, src *wheel) { ... }
+//	//tdlint:copier Cache
+//	func (c *Cache) Clone() *Cache { ... }
 //
 // A field that the copier deliberately aliases (callback pointers,
 // environment handles) is annotated on its declaration — the field's
 // line or the line above:
 //
-//	fn func(any, Tick) //tdlint:shared fn — callbacks are code+model state; see package comment
+//	WriteBack func(uint64) //tdlint:shared WriteBack — rebound by the new owner
 //
 // The reason after the dash is mandatory, as with //tdlint:allow.
 //

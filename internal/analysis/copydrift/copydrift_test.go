@@ -39,14 +39,15 @@ func TestDirectiveHygiene(t *testing.T) {
 }
 
 // TestSeededMutation proves the analyzer catches real drift: it copies
-// the real internal/sim sources (directives included) into a fixture,
-// checks they are clean, then deletes the one line of copyWheel that
-// copies the consume head and asserts the omission is reported.
+// the real internal/cache sources (directives included) into a fixture,
+// then deletes the one line of Cache.Clone that deep-copies the tag
+// array — the copy every forked warmup image depends on — and asserts
+// the now-shared slice is reported.
 func TestSeededMutation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("copies and type-checks a real package")
 	}
-	const victim = "dst.head = src.head"
+	const victim = "d.tags = append([]uint64(nil), c.tags...)"
 
 	// The fixture root lives next to testdata/src so the go command
 	// still resolves standard-library export data from inside the
@@ -56,13 +57,13 @@ func TestSeededMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { os.RemoveAll(root) })
-	dst := filepath.Join(root, "src", "sim")
+	dst := filepath.Join(root, "src", "cache")
 	if err := os.MkdirAll(dst, 0o777); err != nil {
 		t.Fatal(err)
 	}
 
-	simDir := filepath.Join("..", "..", "sim")
-	entries, err := os.ReadDir(simDir)
+	srcDir := filepath.Join("..", "..", "cache")
+	entries, err := os.ReadDir(srcDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +73,11 @@ func TestSeededMutation(t *testing.T) {
 		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(simDir, name))
+		data, err := os.ReadFile(filepath.Join(srcDir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if name == "snapshot.go" {
+		if name == "cache.go" {
 			lines := strings.Split(string(data), "\n")
 			kept := lines[:0]
 			for _, l := range lines {
@@ -93,11 +94,11 @@ func TestSeededMutation(t *testing.T) {
 		}
 	}
 	if !mutated {
-		t.Fatalf("mutation target %q not found in internal/sim/snapshot.go", victim)
+		t.Fatalf("mutation target %q not found in internal/cache/cache.go", victim)
 	}
 
-	findings := analysistest.Findings(t, root, copydrift.Analyzer, "sim")
-	if !hasFinding(findings, "field wheel.head is not copied by designated copier copyWheel") {
+	findings := analysistest.Findings(t, root, copydrift.Analyzer, "cache")
+	if !hasFinding(findings, "field Cache.tags is shallow-copied by Clone") {
 		t.Errorf("deleting %q went undetected; findings:\n%s", victim, render(findings))
 	}
 }

@@ -206,8 +206,8 @@ func (c *Cache) MarkDirty(lineAddr uint64) bool {
 
 // Clone returns a deep copy of the cache: content, LRU state, and hit
 // counters all duplicated, so the copy and the original evolve
-// independently. The warmup-image fork uses this to hand every design
-// cell its own prewarmed SRAM stack.
+// independently. Every System uses this to take its own warmed SRAM
+// stack from a warmup image.
 //
 //tdlint:copier Cache
 func (c *Cache) Clone() *Cache {

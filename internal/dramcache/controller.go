@@ -457,20 +457,6 @@ func (c *Controller) FinalizeMeters() {
 	c.mmMeter.Refreshes = md.Refreshes - c.mmDevBase.Refreshes
 }
 
-// Prewarm applies one access to the cache content functionally, with no
-// timing: the stand-in for the paper's LoopPoint checkpoints, which start
-// every run with warmed SRAM and DRAM caches (§IV-B). Misses install
-// immediately (the fill is assumed done); victims are dropped.
-func (c *Controller) Prewarm(line uint64, write bool) {
-	if c.tags == nil {
-		return
-	}
-	c.tags.access(line, write, true)
-	if !write {
-		c.tags.fillDone(line)
-	}
-}
-
 // Enqueue accepts one demand. It reports false when backpressure (full
 // queues or conflict buffer) prevents acceptance; the caller must retry
 // later. Writes are posted: their Complete fires on acceptance.

@@ -2,15 +2,14 @@ package dramcache
 
 import "fmt"
 
-// This file lets the warmup-image fork share prewarmed DRAM-cache
-// content across designs. Controller.Prewarm evolves the tag store
-// purely functionally — tags.access + fillDone, no timing, no device
-// state — and the resulting content depends only on the store's
-// geometry (capacity, ways) and the access sequence, never on the
-// design's protocol. A Prewarmer replays that exact transition function
-// outside any controller, so one prewarm pass per workload produces a
-// TagImage every same-geometry design cell installs instead of
-// replaying the pass itself.
+// This file builds warmed DRAM-cache content: the stand-in for the
+// paper's LoopPoint checkpoints, which start every run with warmed SRAM
+// and DRAM caches (§IV-B). A Prewarmer evolves a tag store purely
+// functionally — tags.access + fillDone, no timing, no device state — so
+// the resulting content depends only on the store's geometry (capacity,
+// ways) and the access sequence, never on the design's protocol. One
+// warmup pass therefore produces a TagImage every same-geometry design
+// installs with InstallTags.
 
 // TagImage is a frozen copy of prewarmed cache content. It is immutable
 // after Image() returns: installs deep-copy it, so any number of
@@ -42,9 +41,8 @@ func NewPrewarmer(capacityBytes uint64, ways int) (*Prewarmer, error) {
 	return &Prewarmer{t: t}, nil
 }
 
-// Prewarm applies one functional access — the same transition
-// Controller.Prewarm performs: insert on miss, fill assumed done,
-// victims dropped.
+// Prewarm applies one functional access: insert on miss, fill assumed
+// done, victims dropped.
 func (p *Prewarmer) Prewarm(line uint64, write bool) {
 	p.t.access(line, write, true)
 	if !write {
@@ -52,24 +50,27 @@ func (p *Prewarmer) Prewarm(line uint64, write bool) {
 	}
 }
 
-// Image freezes the current content into an immutable TagImage.
+// Image freezes the accumulated content into an immutable TagImage and
+// retires the Prewarmer: the image takes over its tag array instead of
+// copying it, so any later Prewarm or Image call panics.
 //
 //tdlint:copier TagImage
 func (p *Prewarmer) Image() *TagImage {
-	return &TagImage{
+	img := &TagImage{
 		sets:    p.t.sets,
 		ways:    p.t.ways,
-		lines:   append([]lineState(nil), p.t.lines...),
+		lines:   p.t.lines,
 		lruTick: p.t.lruTick,
 	}
+	p.t = nil
+	return img
 }
 
 // InstallTags overwrites the controller's cache content with a deep
 // copy of the image. It fails if the image's geometry does not match
-// the controller's tag store — the caller then falls back to replaying
-// prewarm. Installing into a NoCache controller (which has no tag
-// store) is a no-op. Must be called before any traffic: installed
-// content replaces whatever the store held.
+// the controller's tag store. Installing into a NoCache controller
+// (which has no tag store) is a no-op. Must be called before any
+// traffic: installed content replaces whatever the store held.
 func (c *Controller) InstallTags(img *TagImage) error {
 	if c.tags == nil {
 		return nil

@@ -10,11 +10,11 @@ import (
 // TestMatrixForkVsReplayBitIdentical pins the shared-warmup fork's
 // acceptance criterion: every (design, workload) cell run from the
 // per-workload WarmupImage must be bit-identical — the full Result
-// struct, every counter and histogram — to the same cell run with a
-// full warmup replay, and the progress stream must say which path each
-// cell took. Under -short or the race detector the matrix is trimmed so
-// the package fits the 1-CPU race budget; the full band-balanced subset
-// runs in every regular pass.
+// struct, every counter and histogram — to the same cell replaying the
+// warmup into an image of its own, and the progress stream must say
+// which path each cell took. Under -short or the race detector the
+// matrix is trimmed so the package fits the 1-CPU race budget; the full
+// band-balanced subset runs in every regular pass.
 func TestMatrixForkVsReplayBitIdentical(t *testing.T) {
 	sc := Quick()
 	jobs := 8
@@ -27,20 +27,20 @@ func TestMatrixForkVsReplayBitIdentical(t *testing.T) {
 		sc.Workloads = sc.studySubset(6)
 	}
 
-	run := func(replay bool) (*Matrix, []string) {
+	run := func(what string) (*Matrix, []string) {
 		var lines []string
 		m, err := RunMatrixOpts(sc, MatrixOptions{
-			Jobs:         jobs,
-			ReplayWarmup: replay,
-			Progress:     func(s string) { lines = append(lines, s) },
+			Jobs:     jobs,
+			Progress: func(s string) { lines = append(lines, s) },
 		})
 		if err != nil {
-			t.Fatalf("replay=%v: %v", replay, err)
+			t.Fatalf("%s: %v", what, err)
 		}
 		return m, lines
 	}
-	forked, forkLines := run(false)
-	replayed, replayLines := run(true)
+	forked, forkLines := run("fork")
+	withoutSharedImages(t)
+	replayed, replayLines := run("replay")
 
 	if len(forked.Results) != len(replayed.Results) {
 		t.Fatalf("cell count: forked %d, replayed %d", len(forked.Results), len(replayed.Results))

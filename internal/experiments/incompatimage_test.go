@@ -12,9 +12,9 @@ import (
 // degradation contract of the shared-warmup fork: when one workload's
 // image cannot seed its cells (here: built under a different stream
 // seed, so CompatibleWith fails with ErrIncompatibleImage), exactly
-// that workload falls back to a full warmup replay — per cell, without
-// failing the sweep or touching any other workload's fork path — and
-// every result is still bit-identical to an all-replay run.
+// that workload falls back to replaying the warmup into per-cell images
+// — without failing the sweep or touching any other workload's fork
+// path — and every result is still bit-identical to an all-replay run.
 func TestMatrixIncompatibleImageFallsBackToReplay(t *testing.T) {
 	sc := Quick()
 	sc.Workloads = sc.studySubset(2)
@@ -69,8 +69,8 @@ func TestMatrixIncompatibleImageFallsBackToReplay(t *testing.T) {
 
 	// The fallback is invisible in the results: bit-identical to a
 	// sweep that replays every cell's warmup.
-	buildImage = oldBuild
-	ref, err := RunMatrixOpts(sc, MatrixOptions{Jobs: 2, ReplayWarmup: true})
+	withoutSharedImages(t)
+	ref, err := RunMatrixOpts(sc, MatrixOptions{Jobs: 2})
 	if err != nil {
 		t.Fatalf("reference replay sweep: %v", err)
 	}

@@ -28,15 +28,6 @@ type MatrixOptions struct {
 	// worker finishes first, so the output of two runs can be diffed.
 	Progress func(string)
 
-	// ReplayWarmup disables the shared-warmup fork: every cell replays its
-	// own prewarm pass, the pre-fork behaviour. By default (false) the
-	// sweep builds one WarmupImage per workload and forks each design cell
-	// from it — bit-identical results (the fork point precedes the first
-	// timed event) at a fraction of the prewarm cost. Cells whose config
-	// an image cannot seed fall back to replay individually; each progress
-	// line reports which path ran as warmup=fork or warmup=replay.
-	ReplayWarmup bool
-
 	// Context, when non-nil, cancels the sweep between cells: once it is
 	// done, no further cell starts simulating — each remaining cell fails
 	// immediately with a CellError wrapping ctx.Err() — and RunMatrixOpts
@@ -88,8 +79,9 @@ func (e *CellError) Error() string {
 
 func (e *CellError) Unwrap() error { return e.Err }
 
-// runCell executes one cell from a cold start; tests replace it to
-// inject faults (which also disables the fork path — see fakeRunCell).
+// runCell executes one cell from a warmup image of its own; tests
+// replace it to inject faults (which also disables the fork path — see
+// fakeRunCell).
 var runCell = func(cfg system.Config) (*system.Result, error) {
 	return system.Run(cfg)
 }
@@ -103,8 +95,8 @@ var buildImage = func(cfg system.Config) (*system.WarmupImage, error) {
 // runCellSafe executes one cell, forking from img when one is available
 // and compatible, and converts a panicking simulation into a per-cell
 // error so one broken cell cannot take down the rest of the sweep (or
-// the finished part of it). It reports whether the cell ran from the
-// fork or from a full warmup replay.
+// the finished part of it). It reports whether the cell forked from the
+// shared image or replayed the warmup into an image of its own.
 func runCellSafe(cfg system.Config, img *system.WarmupImage) (res *system.Result, forked bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -120,7 +112,7 @@ func runCellSafe(cfg system.Config, img *system.WarmupImage) (res *system.Result
 			return nil, true, err // a real simulation failure, not a fork limitation
 		}
 		// This design's config cannot be seeded from the shared image;
-		// fall back to a full replay for this cell only.
+		// this cell alone replays the warmup into an image of its own.
 	}
 	res, err = runCell(cfg)
 	return res, false, err
@@ -130,7 +122,7 @@ func runCellSafe(cfg system.Config, img *system.WarmupImage) (res *system.Result
 // whichever worker first reaches a cell of that workload; the other
 // workers' cells block on the Once until it is ready. A build failure
 // (error or panic) leaves the slot nil and every cell of the workload
-// replays its own warmup.
+// builds its own image.
 type imageSet struct {
 	sc   Scale
 	once []sync.Once
@@ -143,7 +135,7 @@ func newImageSet(sc Scale) *imageSet {
 
 func (is *imageSet) get(wi int) *system.WarmupImage {
 	is.once[wi].Do(func() {
-		defer func() { recover() }() // a broken build degrades to replay
+		defer func() { recover() }() // a broken build degrades to per-cell images
 		// The image is design-independent; build it under the first matrix
 		// design's config (any would do — compatibility is checked per cell).
 		cfg := is.sc.Config(MatrixDesigns()[0], is.sc.Workloads[wi])
@@ -215,10 +207,7 @@ func RunMatrixOpts(sc Scale, opts MatrixOptions) (*Matrix, error) {
 	for i := range done {
 		done[i] = make(chan struct{})
 	}
-	var images *imageSet
-	if !opts.ReplayWarmup {
-		images = newImageSet(sc)
-	}
+	images := newImageSet(sc)
 	var lease *CPULease
 	if opts.Budget != nil {
 		lease = opts.Budget.Lease()
@@ -251,11 +240,7 @@ func RunMatrixOpts(sc Scale, opts MatrixOptions) (*Matrix, error) {
 						continue
 					}
 				}
-				var img *system.WarmupImage
-				if images != nil {
-					img = images.get(c.wlIndex)
-				}
-				res, fk, err := runCellSafe(sc.Config(c.d, c.wl), img)
+				res, fk, err := runCellSafe(sc.Config(c.d, c.wl), images.get(c.wlIndex))
 				if lease != nil {
 					lease.Release()
 				}

@@ -23,12 +23,22 @@ import (
 // cell so any schedule yields the same matrix.
 func fakeRunCell(t *testing.T, fn func(cfg system.Config) (*system.Result, error)) {
 	t.Helper()
-	oldRun, oldBuild := runCell, buildImage
+	oldRun := runCell
 	runCell = fn
+	t.Cleanup(func() { runCell = oldRun })
+	withoutSharedImages(t)
+}
+
+// withoutSharedImages stubs the shared warmup-image builder out for the
+// rest of the test, so every cell replays the warmup into an image of
+// its own.
+func withoutSharedImages(t *testing.T) {
+	t.Helper()
+	oldBuild := buildImage
 	buildImage = func(system.Config) (*system.WarmupImage, error) {
-		return nil, fmt.Errorf("warmup images disabled with runCell stubbed")
+		return nil, fmt.Errorf("shared warmup images disabled")
 	}
-	t.Cleanup(func() { runCell, buildImage = oldRun, oldBuild })
+	t.Cleanup(func() { buildImage = oldBuild })
 }
 
 func fakeResult(cfg system.Config) *system.Result {

@@ -51,9 +51,8 @@ func TestTokenBudgetConservation(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			_, errs[i] = RunMatrixOpts(budgetScale(), MatrixOptions{
-				Jobs:         4, // fan-out ceiling well past the fair share
-				ReplayWarmup: true,
-				Budget:       budget,
+				Jobs:   4, // fan-out ceiling well past the fair share
+				Budget: budget,
 			})
 		}(i)
 	}
@@ -83,13 +82,11 @@ func TestBudgetGatedDeterminism(t *testing.T) {
 		return fakeResult(cfg), nil
 	})
 	sc := budgetScale()
-	gated, err := RunMatrixOpts(sc, MatrixOptions{
-		Jobs: 4, ReplayWarmup: true, Budget: NewCPUBudget(1),
-	})
+	gated, err := RunMatrixOpts(sc, MatrixOptions{Jobs: 4, Budget: NewCPUBudget(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	free, err := RunMatrixOpts(sc, MatrixOptions{Jobs: 4, ReplayWarmup: true})
+	free, err := RunMatrixOpts(sc, MatrixOptions{Jobs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,8 +102,7 @@ func ParseTick(s string) (Tick, error) {
 // Insertion order within a tick IS the deterministic tie-break order, so
 // no per-event sequence number is stored.
 type event struct {
-	when Tick
-	//tdlint:shared fn, arg — callbacks are code plus reachable model state; the kernel cannot deep-copy them (see snapshot.go's disciplines)
+	when   Tick
 	fn     func(any, Tick)
 	arg    any
 	daemon bool // does not keep the simulation alive on its own
@@ -124,7 +123,6 @@ type Simulator struct {
 
 	// watchdog, when armed via NewWatchdog, aborts Run/RunUntil on
 	// detected livelock; nil costs one branch per Step.
-	//tdlint:shared watchdog — deliberately not captured by Restore: an armed watchdog is bound to its own Simulator
 	watchdog *Watchdog
 }
 

@@ -32,7 +32,6 @@ type core struct {
 	wakeQueued  bool
 	blocked     bool // at MaxOutstanding, waiting for a completion
 	tickQueued  bool
-	prewarming  bool // writebacks go to Prewarm instead of the controller
 
 	// onMiss is the read-completion callback, bound once at construction
 	// so issuing a demand read does not allocate a fresh closure.
@@ -58,10 +57,6 @@ func (c *core) idle() bool {
 
 // emitWriteback receives dirty L2 victims from the hierarchy.
 func (c *core) emitWriteback(line uint64) {
-	if c.prewarming {
-		c.sys.ctl.Prewarm(line, true)
-		return
-	}
 	c.reqID++
 	req := &mem.Request{ID: c.reqID, Addr: line * mem.LineSize, Kind: mem.Write, Core: c.id}
 	if o := c.sys.obs; o != nil {

@@ -141,7 +141,6 @@ func TestWatchdogAbortsDrainedQueue(t *testing.T) {
 	cfg := smallConfig(t, dramcache.TDRAM, "ft.C")
 	cfg.RequestsPerCore = 200
 	cfg.WarmupPerCore = 0
-	cfg.PrewarmPerCore = -1
 	cfg.Watchdog = 10 * sim.Microsecond
 	sys, err := New(cfg)
 	if err != nil {
@@ -167,7 +166,6 @@ func TestWatchdogAbortsLivelock(t *testing.T) {
 	cfg := smallConfig(t, dramcache.TDRAM, "ft.C")
 	cfg.RequestsPerCore = 200
 	cfg.WarmupPerCore = 0
-	cfg.PrewarmPerCore = -1
 	cfg.Watchdog = 10 * sim.Microsecond
 	sys, err := New(cfg)
 	if err != nil {

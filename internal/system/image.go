@@ -9,35 +9,35 @@ import (
 	"tdram/internal/workload"
 )
 
-// This file implements the shared-warmup fork. The prewarm phase is
-// functional — zero simulated time, no events, no device state — and its
-// evolution (workload stream positions, SRAM hierarchy content, DRAM
-// cache content) depends only on the workload, seed, core count, and the
-// cache geometries, never on the design's timing protocol: every design
-// sees the identical access sequence and applies the identical
-// insert-on-miss transition. A WarmupImage captures that post-prewarm
-// state once per workload; each (design, workload) cell then installs a
-// deep copy instead of replaying the prewarm pass, and runs its timed
-// warmup + measured phases from there. Because the fork point precedes
-// the first timed event, a forked cell's event sequence — and hence its
-// Result — is bit-identical to a full-replay cell's.
+// This file implements the functional warmup every System starts from —
+// the stand-in for the paper's LoopPoint checkpoints with warmed caches.
+// The warmup pass takes zero simulated time, schedules no events and
+// touches no device state, and its evolution (workload stream positions,
+// SRAM hierarchy content, DRAM cache content) depends only on the
+// workload, seed, core count, and the cache geometries, never on the
+// design's timing protocol: every design sees the identical access
+// sequence and applies the identical insert-on-miss transition. A
+// WarmupImage captures that post-warmup state; a System installs deep
+// copies of it and runs its timed warmup + measured phases from there.
+// One image can therefore seed every design cell of a workload, and
+// because the image is taken before the first timed event, a cell's
+// Result is the same whether its image was shared or built for it alone.
 
 // ErrIncompatibleImage reports that a WarmupImage cannot seed the given
 // configuration (different workload, seed, topology, or cache geometry).
-// Callers fall back to a full prewarm replay.
+// Callers build a private image instead (NewWithImage with a nil image).
 var ErrIncompatibleImage = errors.New("system: warmup image incompatible with config")
 
-// WarmupImage is frozen post-prewarm state shared by every design cell
+// WarmupImage is frozen post-warmup state shared by every design cell
 // of one workload. It is immutable once built: installs deep-copy the
 // streams and hierarchies and the controller copies the tag content, so
 // concurrent cells can fork from the same image.
 type WarmupImage struct {
-	// The parameters the prewarm evolution depends on; a config must
+	// The parameters the warmup evolution depends on; a config must
 	// match all of them for the image to seed it.
 	workload string
 	cores    int
 	seed     uint64
-	prewarmN int    // resolved accesses per core (0 when prewarming is disabled)
 	capacity uint64 // normalized stream-footprint capacity
 	l1, l2   uint64 // normalized SRAM sizes
 
@@ -46,8 +46,10 @@ type WarmupImage struct {
 	tags    *dramcache.TagImage // nil when the config has no tag store
 }
 
-// normalized mirrors New's defaulting of the sizing knobs so an image
-// built from one design's config matches another design's.
+// normalized defaults the sizing knobs so an image built from one
+// design's config matches another design's. Workload footprints scale
+// against the nominal cache capacity even in the no-cache configuration,
+// so runtimes are comparable.
 func (cfg *Config) normalized() (capacity, l1, l2 uint64) {
 	capacity = cfg.Cache.CapacityBytes
 	if capacity == 0 {
@@ -63,26 +65,12 @@ func (cfg *Config) normalized() (capacity, l1, l2 uint64) {
 	return capacity, l1, l2
 }
 
-// prewarmCount resolves PrewarmPerCore against a core-0 stream: negative
-// disables, zero selects the automatic footprint-doubling default.
-func prewarmCount(cfg *Config, s *workload.Stream) int {
-	n := cfg.PrewarmPerCore
-	if n < 0 {
-		return 0
-	}
-	if n == 0 {
-		n = int(2 * s.Lines())
-		if n < 4096 {
-			n = 4096
-		}
-	}
-	return n
-}
-
-// BuildWarmupImage runs the functional prewarm pass once for cfg's
-// workload and freezes the result. The image seeds any config that
-// matches the workload/seed/topology parameters — in the experiment
-// matrix, every design cell of the workload.
+// BuildWarmupImage runs the functional warmup pass for cfg's workload
+// and freezes the result: each core's stream advances by twice its
+// footprint (at least 4096 accesses) through its SRAM hierarchy, and
+// L2 misses and dirty L2 victims evolve the DRAM-cache content. The image
+// seeds any config that matches the workload/seed/topology parameters —
+// in the experiment matrix, every design cell of the workload.
 //
 //tdlint:copier WarmupImage
 func BuildWarmupImage(cfg Config) (*WarmupImage, error) {
@@ -105,18 +93,20 @@ func BuildWarmupImage(cfg Config) (*WarmupImage, error) {
 			return nil, err
 		}
 	}
+	var n int
 	for i := 0; i < cfg.Cores; i++ {
 		st := cfg.Workload.NewStream(i, cfg.Cores, capacity, cfg.Seed)
 		hier := cache.NewSizedHierarchy(l1, l2)
 		if pw != nil {
-			// Same hook wiring as a live core while prewarming: dirty L2
-			// victims reach Prewarm during the access, before the miss does.
+			// Dirty L2 victims reach the tag store during the access,
+			// before the miss does, as a running core's writebacks reach
+			// the controller.
 			hier.WriteBack = func(line uint64) { pw.Prewarm(line, true) }
 		}
 		if i == 0 {
-			img.prewarmN = prewarmCount(&cfg, st)
+			n = max(int(2*st.Lines()), 4096)
 		}
-		for a := 0; a < img.prewarmN; a++ {
+		for a := 0; a < n; a++ {
 			line, store, _ := st.Next()
 			res := hier.Access(line, store)
 			if res.Missed && pw != nil {
@@ -155,56 +145,8 @@ func (img *WarmupImage) CompatibleWith(cfg Config) error {
 	if img.l1 != l1 || img.l2 != l2 {
 		return mismatch("sram sizes", fmt.Sprintf("%d/%d", img.l1, img.l2), fmt.Sprintf("%d/%d", l1, l2))
 	}
-	// The resolved prewarm length must match; resolving the automatic
-	// default needs a throwaway core-0 stream for its footprint.
-	n := cfg.PrewarmPerCore
-	if n <= 0 {
-		n = prewarmCount(&cfg, cfg.Workload.NewStream(0, cfg.Cores, capacity, cfg.Seed))
-	}
-	if img.prewarmN != n {
-		return mismatch("prewarm accesses", img.prewarmN, n)
-	}
 	if img.tags == nil && cfg.Cache.CapacityBytes > 0 && cfg.Cache.Design.Cached() {
 		return fmt.Errorf("%w: image has no cache content but config has a tag store", ErrIncompatibleImage)
 	}
 	return nil
-}
-
-// NewWithImage builds the machine like New and seeds it from the image
-// instead of leaving prewarm to Run: streams and SRAM hierarchies are
-// deep-copied per core, the DRAM-cache content is installed into the
-// controller (geometry mismatches surface as ErrIncompatibleImage), and
-// Run's prewarm pass is skipped.
-func NewWithImage(cfg Config, img *WarmupImage) (*System, error) {
-	if img == nil {
-		return New(cfg)
-	}
-	if err := img.CompatibleWith(cfg); err != nil {
-		return nil, err
-	}
-	sys, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if img.tags != nil {
-		if err := sys.ctl.InstallTags(img.tags); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrIncompatibleImage, err)
-		}
-	}
-	for i, c := range sys.cores {
-		c.stream = img.streams[i].Clone()
-		c.hier = img.hiers[i].Clone()
-		c.hier.WriteBack = c.emitWriteback
-	}
-	sys.prewarmed = true
-	return sys, nil
-}
-
-// RunWithImage builds from the image and runs in one call.
-func RunWithImage(cfg Config, img *WarmupImage) (*Result, error) {
-	sys, err := NewWithImage(cfg, img)
-	if err != nil {
-		return nil, err
-	}
-	return sys.Run()
 }

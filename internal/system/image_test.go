@@ -9,10 +9,11 @@ import (
 	"tdram/internal/dramcache"
 )
 
-// The fork soundness property: a cell seeded from a WarmupImage must
-// produce a Result bit-identical to the same cell run with a full
-// prewarm replay — for every design, since the image is built once per
-// workload and shared across them. reflect.DeepEqual covers every
+// The fork soundness property: a cell seeded from a shared WarmupImage
+// (built under TDRAM's config) must produce a Result bit-identical to
+// the same cell replaying the warmup into an image of its own — for
+// every design, since the image is built once per workload and shared
+// across them. reflect.DeepEqual covers every
 // counter, histogram bucket, energy meter, and traffic byte in the
 // Result; the %+v comparison is the same fingerprint the kernel golden
 // test pins.
@@ -48,9 +49,8 @@ func TestForkedWarmupBitIdentical(t *testing.T) {
 	}
 }
 
-// An image must refuse to seed configs whose prewarm evolution it does
-// not describe, naming ErrIncompatibleImage so callers fall back to
-// replay.
+// An image must refuse to seed configs whose warmup evolution it does
+// not describe, naming ErrIncompatibleImage so callers build their own.
 func TestWarmupImageCompatibility(t *testing.T) {
 	base := smallConfig(t, dramcache.TDRAM, "is.C")
 	img, err := BuildWarmupImage(base)
@@ -72,7 +72,6 @@ func TestWarmupImageCompatibility(t *testing.T) {
 		"seed":     func(c *Config) { c.Seed = 99 },
 		"capacity": func(c *Config) { c.Cache.CapacityBytes = 1 << 20 },
 		"l2":       func(c *Config) { c.L2Bytes = 128 << 10 },
-		"prewarm":  func(c *Config) { c.PrewarmPerCore = 7 },
 	}
 	for name, mutate := range mutations {
 		cfg := smallConfig(t, dramcache.TDRAM, "is.C")
@@ -86,9 +85,16 @@ func TestWarmupImageCompatibility(t *testing.T) {
 		}
 	}
 
-	// nil image degrades to plain New.
-	if sys, err := NewWithImage(base, nil); err != nil || sys.prewarmed {
-		t.Errorf("NewWithImage(nil): err=%v prewarmed=%v", err, sys.prewarmed)
+	// The tag-store geometry is checked when the content is installed.
+	ways := smallConfig(t, dramcache.TDRAM, "is.C")
+	ways.Cache.Ways = 8
+	if _, err := NewWithImage(ways, img); !errors.Is(err, ErrIncompatibleImage) {
+		t.Errorf("ways mutation: NewWithImage err = %v, want ErrIncompatibleImage", err)
+	}
+
+	// A nil image builds a private one.
+	if _, err := NewWithImage(base, nil); err != nil {
+		t.Errorf("NewWithImage(nil): %v", err)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"tdram/internal/backing"
-	"tdram/internal/cache"
 	"tdram/internal/dram"
 	"tdram/internal/dramcache"
 	"tdram/internal/energy"
@@ -38,14 +37,9 @@ type Config struct {
 	// the SRAM levels absorb a proportionate share of reuse.
 	L1Bytes, L2Bytes uint64
 
-	// PrewarmPerCore runs this many accesses per core through the SRAM
-	// hierarchy and the cache content functionally (zero simulated time)
-	// before anything is timed — the stand-in for the paper's warmed
-	// LoopPoint checkpoints. Zero selects an automatic value covering
-	// the per-core footprint twice; negative disables prewarming.
-	PrewarmPerCore int
-	// WarmupPerCore accesses are then simulated with timing but excluded
-	// from measurement, warming queues and device state.
+	// WarmupPerCore accesses are simulated with timing but excluded from
+	// measurement, warming queues and device state. They start from the
+	// functionally warmed caches of a WarmupImage (see BuildWarmupImage).
 	WarmupPerCore int
 	// RequestsPerCore accesses are measured.
 	RequestsPerCore int
@@ -145,15 +139,27 @@ type System struct {
 	obs   *obs.Observer
 	wd    *sim.Watchdog
 	cores []*core
-
-	// prewarmed marks a system seeded from a WarmupImage: Run skips the
-	// prewarm pass because the installed state already reflects it.
-	prewarmed bool
 }
 
-// New builds the machine.
-func New(cfg Config) (*System, error) {
-	if err := cfg.Validate(); err != nil {
+// New builds the machine from a warmup image of its own; see
+// NewWithImage.
+func New(cfg Config) (*System, error) { return NewWithImage(cfg, nil) }
+
+// NewWithImage builds the machine seeded from img: every core gets deep
+// copies of the image's stream and SRAM hierarchy, and the DRAM-cache
+// content is installed into the controller (a geometry mismatch surfaces
+// as ErrIncompatibleImage). A nil img builds a private image from cfg
+// first, so every System starts from the same functional warmup whether
+// or not its image is shared.
+func NewWithImage(cfg Config, img *WarmupImage) (*System, error) {
+	if img == nil {
+		var err error
+		if img, err = BuildWarmupImage(cfg); err != nil {
+			return nil, err
+		}
+	} else if err := cfg.Validate(); err != nil {
+		return nil, err
+	} else if err := img.CompatibleWith(cfg); err != nil {
 		return nil, err
 	}
 	s := sim.New()
@@ -164,6 +170,11 @@ func New(cfg Config) (*System, error) {
 	ctl, err := dramcache.New(s, cfg.Cache, mm)
 	if err != nil {
 		return nil, err
+	}
+	if img.tags != nil {
+		if err := ctl.InstallTags(img.tags); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrIncompatibleImage, err)
+		}
 	}
 	sys := &System{cfg: cfg, sim: s, mm: mm, ctl: ctl}
 	ctl.OnDemandRetry = sys.wakeStalled
@@ -186,25 +197,12 @@ func New(cfg Config) (*System, error) {
 		}
 		sys.wd = wd
 	}
-	// Workload footprints scale against the nominal cache capacity even
-	// in the no-cache configuration, so runtimes are comparable.
-	capacity := cfg.Cache.CapacityBytes
-	if capacity == 0 {
-		capacity = 64 << 20
-	}
-	l1, l2 := cfg.L1Bytes, cfg.L2Bytes
-	if l1 == 0 {
-		l1 = 4 << 10
-	}
-	if l2 == 0 {
-		l2 = 64 << 10
-	}
 	for i := 0; i < cfg.Cores; i++ {
 		c := &core{
 			sys:    sys,
 			id:     i,
-			stream: cfg.Workload.NewStream(i, cfg.Cores, capacity, cfg.Seed),
-			hier:   cache.NewSizedHierarchy(l1, l2),
+			stream: img.streams[i].Clone(),
+			hier:   img.hiers[i].Clone(),
 			think:  sim.NS(cfg.Workload.ThinkNS),
 		}
 		c.hier.WriteBack = c.emitWriteback
@@ -212,26 +210,6 @@ func New(cfg Config) (*System, error) {
 		sys.cores = append(sys.cores, c)
 	}
 	return sys, nil
-}
-
-// prewarm pushes accesses through the SRAM hierarchy and cache content
-// functionally so the measured phase starts from steady state.
-func (sys *System) prewarm() {
-	n := prewarmCount(&sys.cfg, sys.cores[0].stream)
-	if n == 0 {
-		return
-	}
-	for _, c := range sys.cores {
-		c.prewarming = true
-		for i := 0; i < n; i++ {
-			line, store, _ := c.stream.Next()
-			res := c.hier.Access(line, store)
-			if res.Missed {
-				sys.ctl.Prewarm(res.MissLine, false)
-			}
-		}
-		c.prewarming = false
-	}
 }
 
 // Controller exposes the DRAM-cache controller (inspection, examples).
@@ -338,12 +316,9 @@ func (sys *System) describeStall() string {
 	return s
 }
 
-// Run executes prewarm and warmup, then the measured phase, and collects
+// Run executes the timed warmup, then the measured phase, and collects
 // results.
 func (sys *System) Run() (*Result, error) {
-	if !sys.prewarmed {
-		sys.prewarm()
-	}
 	if sys.cfg.WarmupPerCore > 0 {
 		if err := sys.phase(sys.cfg.WarmupPerCore); err != nil {
 			return nil, err
@@ -419,8 +394,12 @@ func (sys *System) drainResidual() error {
 }
 
 // Run builds and runs a system in one call.
-func Run(cfg Config) (*Result, error) {
-	sys, err := New(cfg)
+func Run(cfg Config) (*Result, error) { return RunWithImage(cfg, nil) }
+
+// RunWithImage builds from the image (nil: a private one) and runs in
+// one call.
+func RunWithImage(cfg Config, img *WarmupImage) (*Result, error) {
+	sys, err := NewWithImage(cfg, img)
 	if err != nil {
 		return nil, err
 	}

@@ -36,19 +36,31 @@ func NewPlayer(s *sim.Simulator, ctl *dramcache.Controller, events []Event) *Pla
 
 // Prewarm applies the first frac of the trace to the cache content
 // functionally (no timing) and replays only the remainder — the
-// trace-driven analogue of starting from a warmed checkpoint.
-func (p *Player) Prewarm(frac float64) {
+// trace-driven analogue of starting from a warmed checkpoint. The warm
+// content is built by a dramcache.Prewarmer and installed into the
+// controller, the same transition full-system runs start from.
+func (p *Player) Prewarm(frac float64) error {
 	if frac <= 0 || len(p.events) == 0 {
-		return
+		return nil
 	}
 	n := int(float64(len(p.events)) * frac)
 	if n > len(p.events) {
 		n = len(p.events)
 	}
-	for _, e := range p.events[:n] {
-		p.ctl.Prewarm(e.Line, e.Kind == mem.Write)
-	}
+	warm := p.events[:n]
 	p.events = p.events[n:]
+	cfg := p.ctl.Config()
+	if !cfg.Design.Cached() {
+		return nil
+	}
+	pw, err := dramcache.NewPrewarmer(cfg.CapacityBytes, cfg.Ways)
+	if err != nil {
+		return err
+	}
+	for _, e := range warm {
+		pw.Prewarm(e.Line, e.Kind == mem.Write)
+	}
+	return p.ctl.InstallTags(pw.Image())
 }
 
 // Run injects the whole trace and waits for every read to complete. It

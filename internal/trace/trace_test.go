@@ -226,7 +226,9 @@ func TestPlayerPrewarm(t *testing.T) {
 	}
 	s, ctl := newCtl(t, dramcache.TDRAM)
 	p := NewPlayer(s, ctl, events)
-	p.Prewarm(0.5) // the first pass warms; the second replays
+	if err := p.Prewarm(0.5); err != nil { // the first pass warms; the second replays
+		t.Fatal(err)
+	}
 	if _, err := p.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +269,9 @@ func TestPlayerPrewarmPinned(t *testing.T) {
 	for d, fp := range want {
 		s, ctl := newCtl(t, d)
 		p := NewPlayer(s, ctl, events)
-		p.Prewarm(0.5)
+		if err := p.Prewarm(0.5); err != nil {
+			t.Fatalf("%v: %v", d, err)
+		}
 		runtime, err := p.Run()
 		if err != nil {
 			t.Fatalf("%v: %v", d, err)

@@ -162,9 +162,9 @@ func (st *Stream) Lines() uint64 { return st.lines }
 
 // Clone returns an independent deep copy of the stream: the copy draws
 // the exact same future address sequence as the original would, and
-// advancing either does not disturb the other. The warmup snapshot/fork
-// machinery clones one prewarmed stream per (workload, core) into every
-// design's forked run.
+// advancing either does not disturb the other. Every System clones its
+// per-core streams, already advanced through the functional warmup, from
+// a warmup image.
 //
 //tdlint:copier Stream
 func (st *Stream) Clone() *Stream {
