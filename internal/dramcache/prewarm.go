@@ -11,7 +11,7 @@ import "fmt"
 // warmup pass therefore produces a TagImage every same-geometry design
 // installs with InstallTags.
 
-// TagImage is a frozen copy of prewarmed cache content. It is immutable
+// TagImage is frozen prewarmed cache content. It is immutable
 // after Image() returns: installs deep-copy it, so any number of
 // controllers can start from the same image.
 type TagImage struct {
