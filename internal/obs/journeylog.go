@@ -23,6 +23,7 @@ type JourneyLog struct {
 	pool    mem.JourneyPool
 	nextID  uint64
 	resetAt uint64 // journeys started at or before this ID predate the last reset
+	closed  bool   // the measured window has ended (CloseJourneys)
 	classes [mem.NumJourneyClasses]classAgg
 }
 
@@ -67,9 +68,10 @@ func (o *Observer) FinishJourney(j *mem.Journey, end sim.Tick) {
 	}
 	j.End = end
 	// Journeys started before the last reset (posted writes straddling
-	// the warmup/measured boundary) go to the flight ring but stay out
-	// of the measured aggregates, mirroring Controller.ResetStats.
-	if j.ID > o.journeys.resetAt {
+	// the warmup/measured boundary) or finished after CloseJourneys go to
+	// the flight ring but stay out of the measured aggregates, mirroring
+	// Controller.ResetStats and the Result snapshot.
+	if j.ID > o.journeys.resetAt && !o.journeys.closed {
 		agg := &o.journeys.classes[j.Class()]
 		agg.count++
 		agg.hist.AddTick(j.Total())
@@ -99,12 +101,24 @@ func (o *Observer) ResetJourneys() {
 		return
 	}
 	o.journeys.resetAt = o.journeys.nextID
+	o.journeys.closed = false
 	for i := range o.journeys.classes {
 		agg := &o.journeys.classes[i]
 		agg.hist = stats.NewLogHist()
 		agg.phases = [mem.NumPhases]sim.Tick{}
 		agg.count = 0
 	}
+}
+
+// CloseJourneys ends the measured window at the run's result snapshot:
+// journeys finishing later (posted writes the residual drain retires)
+// still reach the flight ring but no longer the per-class aggregates,
+// so those cover the same requests as the Result.
+func (o *Observer) CloseJourneys() {
+	if o == nil || o.journeys == nil {
+		return
+	}
+	o.journeys.closed = true
 }
 
 // JourneyClassCount reports completed journeys of one class.

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -181,6 +182,65 @@ func TestJourneyAccountingMatchesOutcomes(t *testing.T) {
 				t.Errorf("histogram samples=%d, journeys=%d", histN, journeys)
 			}
 		})
+	}
+}
+
+// TestJourneyAggregatesStopAtSnapshot pins the journey aggregates to the
+// Result's window: posted writes still queued when the last core goes
+// idle finish during the residual drain, after the snapshot, and must
+// not reach the per-class counts, histograms or phase sums. The
+// reference is the same system stopped at the snapshot, with no drain.
+func TestJourneyAggregatesStopAtSnapshot(t *testing.T) {
+	wl, err := workload.ByName("bt.C")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []dramcache.Design{dramcache.CascadeLake, dramcache.Alloy} {
+		cfg := DefaultConfig(d, wl, 4<<20)
+		cfg.RequestsPerCore = 400
+		cfg.WarmupPerCore = 100
+		cfg.Obs = obs.Config{Journeys: true}
+		aggregates := func(o *obs.Observer) string {
+			var b strings.Builder
+			for c := 0; c < mem.NumJourneyClasses; c++ {
+				jc := mem.JourneyClass(c)
+				fmt.Fprintf(&b, "%v n=%d hist=%d/%v", jc, o.JourneyClassCount(jc),
+					o.JourneyClassHist(jc).N(), o.JourneyClassHist(jc).MeanNS())
+				for p := 0; p < mem.NumPhases; p++ {
+					fmt.Fprintf(&b, " %v", o.JourneyPhaseSum(jc, mem.Phase(p)))
+				}
+				b.WriteByte('\n')
+			}
+			return b.String()
+		}
+
+		ref, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.phase(cfg.WarmupPerCore); err != nil {
+			t.Fatal(err)
+		}
+		ref.ctl.ResetStats()
+		ref.obs.ResetJourneys()
+		if err := ref.phase(cfg.RequestsPerCore); err != nil {
+			t.Fatal(err)
+		}
+		if ref.ctl.Pending() == 0 {
+			t.Fatalf("%v: nothing left for the residual drain; the test needs a config that leaves work", d)
+		}
+		want := aggregates(ref.obs)
+
+		sys, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got := aggregates(sys.obs); got != want {
+			t.Errorf("%v: journey aggregates include residual-drain completions:\nrun:      %s\nsnapshot: %s", d, got, want)
+		}
 	}
 }
 

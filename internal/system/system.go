@@ -359,6 +359,9 @@ func (sys *System) Run() (*Result, error) {
 		res.Energy.Cache = cm.Render(runtime)
 	}
 	res.Energy.Main = mmM.Render(runtime)
+	if o := sys.obs; o != nil {
+		o.CloseJourneys()
+	}
 	if err := sys.drainResidual(); err != nil {
 		return nil, err
 	}
@@ -371,10 +374,10 @@ func (sys *System) Run() (*Result, error) {
 // will never come once demand traffic stops — with no demand events left
 // the kernel goes quiet and the entries strand (whether any remain at
 // the final request's completion depends on the workload stream, so a
-// stream change can surface it). The result snapshot is taken before
-// this runs: the measured window covers exactly RequestsPerCore accesses
-// either way, and the trailing write-back drain happens off the books,
-// as it does in a real machine.
+// stream change can surface it). The result snapshot is taken, and the
+// journey aggregates closed, before this runs: the measured window covers
+// exactly RequestsPerCore accesses either way, and the trailing
+// write-back drain happens off the books, as it does in a real machine.
 func (sys *System) drainResidual() error {
 	if sys.ctl.Pending() == 0 {
 		return nil
