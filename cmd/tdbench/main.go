@@ -1,23 +1,28 @@
 // Command tdbench regenerates the paper's evaluation artifacts: every
-// matrix-derived figure (Figs. 1-3, 9-13, Table IV) and the standalone
-// studies (§V-D predictor, §V-E flush buffer, §V-F set associativity)
-// plus the TDRAM design-choice ablations.
+// matrix-derived figure (Figs. 1-3, 9-13, Table IV) and the studies
+// (§V-D predictor and prefetcher, §V-E flush buffer, §V-F set
+// associativity, the TDRAM design-choice ablations, fault resilience
+// and latency attribution).
 //
 // Usage:
 //
 //	tdbench                          # all matrix figures, quick scale
-//	tdbench -scale full              # all 28 workloads (several minutes)
+//	tdbench -scale full -exp all     # all 28 workloads, figures and studies
 //	tdbench -exp fig9,tab4           # selected experiments
-//	tdbench -exp flushbuf,setassoc   # standalone studies
-//	tdbench -jobs 4                  # bound the matrix worker pool
-//	tdbench -v                       # per-run progress lines
+//	tdbench -exp flushbuf,setassoc   # selected studies
+//	tdbench -jobs 4                  # bound the worker pool
+//	tdbench -v                       # per-cell progress lines
 //
-// The matrix fans its (design, workload) cells out across -jobs workers
-// (default: GOMAXPROCS); results are bit-identical to a serial run. One
-// warmup image is built per workload and every design cell forks from it
-// instead of repeating the design-independent functional warmup. A
-// failed cell does not abort the sweep: the finished cells still render
-// (reports note the skipped workloads) and tdbench exits nonzero.
+// Everything selected runs as one sweep of configuration cells: the
+// matrix's (design, workload) cells and each study's cells together,
+// each distinct configuration simulated once, fanned out across -jobs
+// workers (default: GOMAXPROCS). Results are bit-identical to a serial
+// run. One warmup image is built per image key (workload, seed, cores,
+// capacity, ways, SRAM sizes), every cell forks from it instead of
+// repeating the design-independent functional warmup, and it is dropped
+// after its last cell. A failed cell does not abort the sweep: the
+// finished cells still render (figures note the skipped workloads, a
+// study with a failed cell is left out) and tdbench exits nonzero.
 package main
 
 import (
@@ -49,37 +54,6 @@ func wallSince(t time.Time) time.Duration {
 	return time.Since(t) //tdlint:allow determinism — harness wall-clock timing, not simulated time
 }
 
-// matrixExps are the experiments derived from the shared run matrix.
-var matrixExps = map[string]func(*tdram.Matrix) *tdram.Report{
-	"fig1":  tdram.Fig1,
-	"fig2":  tdram.Fig2,
-	"fig3":  tdram.Fig3,
-	"fig9":  tdram.Fig9,
-	"fig10": tdram.Fig10,
-	"fig11": tdram.Fig11,
-	"fig12": tdram.Fig12,
-	"tab4":  tdram.Tab4,
-	"fig13": tdram.Fig13,
-}
-
-// standaloneExps run their own parameter sweeps.
-var standaloneExps = map[string]func(tdram.Scale) (*tdram.Report, error){
-	"predictor":        tdram.PredictorStudy,
-	"prefetcher":       tdram.PrefetcherStudy,
-	"flushbuf":         tdram.FlushBufferStudy,
-	"setassoc":         tdram.SetAssocStudy,
-	"abl-probing":      tdram.AblationProbing,
-	"abl-probe-policy": tdram.AblationProbePolicy,
-	"abl-flush":        tdram.AblationFlushBuffer,
-	"abl-condcol":      tdram.AblationCondColumn,
-	"abl-pagepolicy":   tdram.AblationPagePolicy,
-	"resilience":       tdram.Resilience,
-	"latency":          tdram.LatencyStudy,
-}
-
-var matrixOrder = []string{"fig1", "fig2", "fig3", "fig9", "fig10", "fig11", "fig12", "tab4", "fig13"}
-var standaloneOrder = []string{"predictor", "prefetcher", "flushbuf", "setassoc", "abl-probing", "abl-probe-policy", "abl-flush", "abl-condcol", "abl-pagepolicy", "resilience", "latency"}
-
 func main() {
 	if err := run(); err != nil {
 		fatal(err)
@@ -92,15 +66,14 @@ func run() error {
 		expList    = flag.String("exp", "matrix", "comma-separated experiment ids, 'matrix', 'studies', or 'all'")
 		csvDir     = flag.String("csv", "", "also write each experiment's table as <dir>/<id>.csv")
 		jsonOut    = flag.Bool("json", false, "write a machine-readable run summary to BENCH_<timestamp>.json")
-		jobs       = flag.Int("jobs", 0, "matrix cells simulated concurrently (0 = GOMAXPROCS)")
+		jobs       = flag.Int("jobs", 0, "cells simulated concurrently (0 = GOMAXPROCS)")
 		faultRate  = flag.Float64("fault-rate", 0, "per-access fault-injection probability applied to every cache run (0 disables)")
 		faultSeed  = flag.Uint64("fault-seed", 1, "fault-injection PRNG seed")
 		watchdog   = flag.String("watchdog", "", "override the scale's no-progress watchdog window (e.g. 10ms; 0 disables)")
-		latency    = flag.Bool("latency", false, "shorthand for adding the 'latency' attribution study to -exp")
 		flightReq  = flag.Int("flight-recorder", 0, "arm a flight recorder of the last N request journeys in every run (0 disables)")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
-		verbose    = flag.Bool("v", false, "print per-run progress")
+		verbose    = flag.Bool("v", false, "print per-cell progress")
 	)
 	flag.Parse()
 
@@ -164,31 +137,21 @@ func run() error {
 	var ids []string
 	switch *expList {
 	case "matrix":
-		ids = matrixOrder
+		ids = tdram.MatrixExperiments()
 	case "studies":
-		ids = standaloneOrder
+		ids = tdram.StudyExperiments()
 	case "all":
-		ids = append(append([]string{}, matrixOrder...), standaloneOrder...)
+		ids = append(tdram.MatrixExperiments(), tdram.StudyExperiments()...)
 	default:
 		ids = strings.Split(*expList, ",")
 	}
-	if *latency && !contains(ids, "latency") {
-		ids = append(ids, "latency")
-	}
 
-	needMatrix := false
-	for _, id := range ids {
-		if _, ok := matrixExps[id]; ok {
-			needMatrix = true
-		} else if _, ok := standaloneExps[id]; !ok {
-			return fmt.Errorf("unknown experiment %q (known: %s / %s)",
-				id, strings.Join(matrixOrder, ","), strings.Join(standaloneOrder, ","))
+	cells := 0
+	progress := func(s string) {
+		cells++
+		if *verbose {
+			fmt.Fprintln(os.Stderr, s)
 		}
-	}
-
-	progress := func(string) {}
-	if *verbose {
-		progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
 	}
 
 	summary := &benchSummary{
@@ -196,54 +159,52 @@ func run() error {
 		Scale:     scale.Name,
 	}
 
-	var m *tdram.Matrix
+	// Ctrl-C cancels the sweep between cells: in-flight cells finish, the
+	// rest fail with context.Canceled, and whatever completed still
+	// renders below instead of the pool silently running to the end.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	start := wallNow()
+	njobs := *jobs
+	if njobs <= 0 {
+		njobs = runtime.GOMAXPROCS(0)
+	}
+	fmt.Fprintf(os.Stderr, "tdbench: running %d experiment(s) at scale %q with %d jobs...\n",
+		len(ids), scale.Name, njobs)
+	reps, m, err := tdram.Reproduce(scale, ids, tdram.MatrixOptions{
+		Jobs: *jobs, Progress: progress, Context: ctx,
+	})
+	if reps == nil {
+		return err // an unknown experiment id; nothing ran
+	}
 	var sweepErr error
-	if needMatrix {
-		// Ctrl-C cancels the sweep between cells: in-flight cells finish,
-		// the rest fail with context.Canceled, and the completed part of
-		// the matrix still renders below instead of the pool silently
-		// running the whole sweep to the end.
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-		defer stop()
-		start := wallNow()
-		njobs := *jobs
-		if njobs <= 0 {
-			njobs = runtime.GOMAXPROCS(0)
+	if err != nil {
+		// Per-cell failures: render whatever completed, exit nonzero.
+		if m != nil && len(m.Results) == 0 {
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "tdbench: running %d x %d matrix at scale %q with %d jobs...\n",
-			len(scale.Workloads), 7, scale.Name, njobs)
-		var err error
-		m, err = tdram.RunMatrixOpts(scale, tdram.MatrixOptions{
-			Jobs: *jobs, Progress: progress, Context: ctx,
-		})
-		if err != nil {
-			// Per-cell failures: render whatever completed, exit nonzero.
-			if len(m.Results) == 0 {
-				return err
-			}
-			failed := m.MissingCells()
-			fmt.Fprintf(os.Stderr, "tdbench: WARNING: %d matrix cell(s) failed; rendering the %d completed cells\n",
-				len(failed), len(m.Results))
-			for _, e := range cellErrors(err) {
-				fmt.Fprintf(os.Stderr, "tdbench:   %s\n", firstLine(e.Error()))
-			}
-			sweepErr = fmt.Errorf("%d matrix cell(s) failed", len(failed))
+		failed := cellErrors(err)
+		fmt.Fprintf(os.Stderr, "tdbench: WARNING: %d cell(s) failed; rendering what completed\n", len(failed))
+		for _, e := range failed {
+			fmt.Fprintf(os.Stderr, "tdbench:   %s\n", firstLine(e.Error()))
 		}
-		wall := wallSince(start)
-		cellsPerSec := 0.0
-		if secs := wall.Seconds(); secs > 0 {
-			cellsPerSec = float64(len(m.Results)) / secs
-		}
-		fmt.Fprintf(os.Stderr, "tdbench: matrix done in %v: %d cells, %.2f cells/sec\n",
-			wall.Round(time.Second), len(m.Results), cellsPerSec)
+		sweepErr = fmt.Errorf("%d cell(s) failed", len(failed))
+	}
+	wall := wallSince(start)
+	cellsPerSec := 0.0
+	if secs := wall.Seconds(); secs > 0 {
+		cellsPerSec = float64(cells) / secs
+	}
+	fmt.Fprintf(os.Stderr, "tdbench: sweep done in %v: %d cells, %.2f cells/sec\n",
+		wall.Round(time.Second), cells, cellsPerSec)
+	if m != nil {
 		summary.Matrix = matrixSummary(m, wall)
 	}
 
-	emit := func(rep *tdram.Report, wall time.Duration) error {
+	emit := func(rep *tdram.Report) error {
 		fmt.Println(rep)
 		summary.Experiments = append(summary.Experiments, experimentSummary{
-			ID: rep.ID, Title: rep.Title, WallSeconds: wall.Seconds(),
-			Summary: rep.Summary, PaperClaim: rep.PaperClaim,
+			ID: rep.ID, Title: rep.Title, Summary: rep.Summary, PaperClaim: rep.PaperClaim,
 		})
 		if *csvDir == "" {
 			return nil
@@ -266,25 +227,13 @@ func run() error {
 		return nil
 	}
 
-	for _, id := range ids {
-		if f, ok := matrixExps[id]; ok {
-			start := wallNow()
-			rep := f(m)
-			if err := emit(rep, wallSince(start)); err != nil {
-				return err
-			}
+	for i, rep := range reps {
+		if rep == nil {
+			fmt.Fprintf(os.Stderr, "tdbench: WARNING: %s not rendered: one of its cells failed\n", ids[i])
 			continue
 		}
-		start := wallNow()
-		rep, err := standaloneExps[id](scale)
-		if err != nil {
+		if err := emit(rep); err != nil {
 			return err
-		}
-		if err := emit(rep, wallSince(start)); err != nil {
-			return err
-		}
-		if *verbose {
-			fmt.Fprintf(os.Stderr, "tdbench: %s done in %v\n", id, wallSince(start).Round(time.Second))
 		}
 	}
 
@@ -296,15 +245,6 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "tdbench: wrote %s\n", path)
 	}
 	return sweepErr
-}
-
-func contains(ss []string, s string) bool {
-	for _, v := range ss {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }
 
 // cellErrors unpacks an errors.Join aggregate into its parts.
@@ -332,17 +272,17 @@ type benchSummary struct {
 }
 
 type experimentSummary struct {
-	ID          string   `json:"id"`
-	Title       string   `json:"title"`
-	WallSeconds float64  `json:"wall_seconds"`
-	Summary     []string `json:"summary,omitempty"`
-	PaperClaim  string   `json:"paper_claim,omitempty"`
+	ID         string   `json:"id"`
+	Title      string   `json:"title"`
+	Summary    []string `json:"summary,omitempty"`
+	PaperClaim string   `json:"paper_claim,omitempty"`
 }
 
 type matrixJSON struct {
-	Workloads   []string `json:"workloads"`
-	Runs        int      `json:"runs"`
-	WallSeconds float64  `json:"wall_seconds"`
+	Workloads []string `json:"workloads"`
+	Runs      int      `json:"runs"`
+	// WallSeconds is the sweep's, which also ran any selected studies.
+	WallSeconds float64 `json:"wall_seconds"`
 	// SimulatedNS totals the measured-phase simulated time over all runs;
 	// NSPerSecond is the simulation throughput the matrix achieved.
 	SimulatedNS float64 `json:"simulated_ns"`

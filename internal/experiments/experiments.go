@@ -4,11 +4,15 @@
 // (Fig. 9), speedups (Figs. 11, 12), bandwidth bloat (Table IV), relative
 // energy (Fig. 13), and the §V-D/E/F studies, plus ablation sweeps for
 // TDRAM's design choices. Figures 1–3 and 9–13 all derive from one
-// matrix of runs (designs x workloads), computed once and shared.
+// matrix of runs (designs x workloads), computed once and shared; each
+// study is a list of cells of its own plus a render over their results.
+// Reproduce sweeps the matrix and the studies on one cell runner, which
+// simulates each distinct configuration once.
 package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"tdram/internal/dramcache"
@@ -117,15 +121,6 @@ type Matrix struct {
 // workload: the six cache designs plus the main-memory-only system.
 func MatrixDesigns() []dramcache.Design {
 	return append(dramcache.Designs(), dramcache.NoCache)
-}
-
-// RunMatrix executes every (design, workload) cell, fanning cells out
-// across runtime.GOMAXPROCS(0) workers; see RunMatrixOpts for the
-// parallelism knob, the progress-ordering guarantee and the
-// partial-failure semantics. The progress callback, when non-nil,
-// receives one line per completed run, always from a single goroutine.
-func RunMatrix(sc Scale, progress func(string)) (*Matrix, error) {
-	return RunMatrixOpts(sc, MatrixOptions{Progress: progress})
 }
 
 // Get returns one cell (nil when the cell failed or never ran).
@@ -260,12 +255,107 @@ func (r *Report) String() string {
 	return b.String()
 }
 
+// experiment is one regenerated report: a figure derived from the
+// matrix, or a study with a cell list of its own.
+type experiment struct {
+	id     string
+	figure func(*Matrix) *Report
+	study  func(Scale) study
+}
+
+// registry lists every experiment in report order: the matrix figures
+// in paper order, then the studies.
+var registry = []experiment{
+	{id: "fig1", figure: Fig1},
+	{id: "fig2", figure: Fig2},
+	{id: "fig3", figure: Fig3},
+	{id: "fig9", figure: Fig9},
+	{id: "fig10", figure: Fig10},
+	{id: "fig11", figure: Fig11},
+	{id: "fig12", figure: Fig12},
+	{id: "tab4", figure: Tab4},
+	{id: "fig13", figure: Fig13},
+	{id: "predictor", study: secVD},
+	{id: "prefetcher", study: prefetcher},
+	{id: "flushbuf", study: secVE},
+	{id: "setassoc", study: secVF},
+	{id: "abl-probing", study: ablationProbing},
+	{id: "abl-probe-policy", study: ablationProbePolicy},
+	{id: "abl-flush", study: ablationFlushBuffer},
+	{id: "abl-condcol", study: ablationCondColumn},
+	{id: "abl-pagepolicy", study: ablationPagePolicy},
+	{id: "resilience", study: resilience},
+	{id: "latency", study: latency},
+}
+
+func experimentIDs(figures bool) []string {
+	var ids []string
+	for _, e := range registry {
+		if (e.figure != nil) == figures {
+			ids = append(ids, e.id)
+		}
+	}
+	return ids
+}
+
+// MatrixExperiments lists the ids of the matrix-derived experiments
+// (Figs. 1-3, 9-13, Table IV) in paper order.
+func MatrixExperiments() []string { return experimentIDs(true) }
+
+// StudyExperiments lists the ids of the studies (§V-D/E/F, the TDRAM
+// ablations, resilience and latency) in report order.
+func StudyExperiments() []string { return experimentIDs(false) }
+
 // AllFromMatrix regenerates every matrix-derived artifact in paper order.
 func AllFromMatrix(m *Matrix) []*Report {
-	return []*Report{
-		Fig1(m), Fig2(m), Fig3(m), Fig9(m), Fig10(m), Fig11(m), Fig12(m),
-		Tab4(m), Fig13(m),
+	var reps []*Report
+	for _, e := range registry {
+		if e.figure != nil {
+			reps = append(reps, e.figure(m))
+		}
 	}
+	return reps
+}
+
+// Reproduce regenerates the experiments named by ids in one sweep of the
+// cell runner: the matrix, when a matrix experiment is named, and every
+// named study's cells run together, each distinct config once, under
+// opts (whose Filter and OnCell apply to the matrix cells). It returns
+// one report per id, in order — nil for a study one of whose cells
+// failed — the matrix (nil when no matrix experiment is named), and one
+// CellError per failed cell, joined. Matrix reports render over the
+// completed workloads of a partial matrix. An unknown id fails before
+// anything runs.
+func Reproduce(sc Scale, ids []string, opts MatrixOptions) ([]*Report, *Matrix, error) {
+	exps := make([]experiment, len(ids))
+	var studies []study
+	withMatrix := false
+	for i, id := range ids {
+		j := slices.IndexFunc(registry, func(e experiment) bool { return e.id == id })
+		if j < 0 {
+			return nil, nil, fmt.Errorf("unknown experiment %q (known: %s)", id,
+				strings.Join(append(MatrixExperiments(), StudyExperiments()...), ","))
+		}
+		exps[i] = registry[j]
+		if exps[i].figure != nil {
+			withMatrix = true
+		} else {
+			studies = append(studies, exps[i].study(sc))
+		}
+	}
+	m, studyReps, err := sc.run(withMatrix, studies, opts)
+	reps := make([]*Report, len(ids))
+	for i, e := range exps {
+		if e.figure != nil {
+			reps[i] = e.figure(m)
+		} else {
+			reps[i], studyReps = studyReps[0], studyReps[1:]
+		}
+	}
+	if !withMatrix {
+		m = nil
+	}
+	return reps, m, err
 }
 
 // geoOver computes the geometric mean of f over the workloads whose

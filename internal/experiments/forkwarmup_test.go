@@ -5,6 +5,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"tdram/internal/dramcache"
+	"tdram/internal/fault"
+	"tdram/internal/system"
 )
 
 // TestMatrixForkVsReplayBitIdentical pins the shared-warmup fork's
@@ -12,7 +16,10 @@ import (
 // per-workload WarmupImage must be bit-identical — the full Result
 // struct, every counter and histogram — to the same cell replaying the
 // warmup into an image of its own, and the progress stream must say
-// which path each cell took. Under -short or the race detector the
+// which path each cell took. Study cells that leave the matrix config —
+// other associativities, fault injection, flush-buffer sizes, journey
+// attribution — fork too, from their image key's image, and match
+// system.Run of the same config. Under -short or the race detector the
 // matrix is trimmed so the package fits the 1-CPU race budget; the full
 // band-balanced subset runs in every regular pass.
 func TestMatrixForkVsReplayBitIdentical(t *testing.T) {
@@ -39,6 +46,48 @@ func TestMatrixForkVsReplayBitIdentical(t *testing.T) {
 		return m, lines
 	}
 	forked, forkLines := run("fork")
+
+	var extra []system.Config
+	for _, wl := range sc.Workloads {
+		ways := sc.Config(dramcache.TDRAM, wl)
+		ways.Cache.Ways = 4
+		faulty := sc.Config(dramcache.TDRAM, wl)
+		faulty.Cache.Fault = fault.Config{Rate: 1e-3, Seed: 2}
+		flush := sc.Config(dramcache.TDRAM, wl)
+		flush.Cache.FlushEntries = 8
+		journeys := sc.Config(dramcache.CascadeLake, wl)
+		journeys.Obs.Journeys = true
+		extra = append(extra, ways, faulty, flush, journeys)
+	}
+	var studyLines []string
+	var outs outcomes
+	keep := func(o outcomes) *Report { outs = o; return &Report{} }
+	_, _, err := sc.run(false, []study{{extra, keep}}, MatrixOptions{
+		Jobs:     jobs,
+		Progress: func(s string) { studyLines = append(studyLines, s) },
+	})
+	if err != nil {
+		t.Fatalf("study cells: %v", err)
+	}
+	for i, cfg := range extra {
+		want, err := system.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := outs[i].res; !reflect.DeepEqual(got, want) {
+			t.Errorf("study cell %d (%s/%v): forked result differs from system.Run:\nfork %+v\nrun  %+v",
+				i, cfg.Workload.Name, cfg.Cache.Design, got, want)
+		}
+	}
+	if len(studyLines) != len(extra) {
+		t.Errorf("study progress lines = %d, want %d", len(studyLines), len(extra))
+	}
+	for i, line := range studyLines {
+		if !strings.HasSuffix(line, "warmup=fork") {
+			t.Errorf("study line %d missing warmup=fork: %q", i, line)
+		}
+	}
+
 	withoutSharedImages(t)
 	replayed, replayLines := run("replay")
 

@@ -10,18 +10,30 @@ import (
 	"tdram/internal/system"
 )
 
-// Latency runs every design with journey attribution enabled and reports
+// latency runs every design with journey attribution enabled and reports
 // where each request class spends its time: a per-(design, class)
 // percentile table (p50/p90/p99/p99.9 from the log-bucketed histograms),
 // a stacked phase-breakdown artifact (mean ns per journey phase), and a
-// CDF artifact (one row per occupied histogram bucket). The sweep runs
-// serially over a band-balanced workload subset and merges the per-class
-// aggregates across workloads, so the output is deterministic regardless
-// of the -jobs setting.
-func Latency(sc Scale) (*Report, error) {
+// CDF artifact (one row per occupied histogram bucket). The per-class
+// aggregates merge across a band-balanced workload subset in a fixed
+// order, so the output is deterministic regardless of the -jobs setting.
+func latency(sc Scale) study {
 	subset := sc.studySubset(3)
 	designs := MatrixDesigns()
+	var cells []system.Config
+	for _, d := range designs {
+		for _, wl := range subset {
+			cfg := sc.Config(d, wl)
+			cfg.Obs.Journeys = true
+			cells = append(cells, cfg)
+		}
+	}
+	return study{cells, func(outs outcomes) *Report {
+		return renderLatency(designs, len(subset), outs)
+	}}
+}
 
+func renderLatency(designs []dramcache.Design, workloads int, outs outcomes) *Report {
 	// Merged per-(design, class) aggregates across the workload subset.
 	type agg struct {
 		hist   *stats.LogHist
@@ -36,17 +48,11 @@ func Latency(sc Scale) (*Report, error) {
 			classes[i].hist = stats.NewLogHist()
 		}
 		merged[d] = classes
-		for _, wl := range subset {
-			cfg := sc.Config(d, wl)
-			cfg.Obs.Journeys = true
-			sys, err := system.New(cfg)
-			if err != nil {
-				return nil, err
+		for w := 0; w < workloads; w++ {
+			o := outs.next().obs
+			if o == nil {
+				continue // a cell without an observer attributes nothing
 			}
-			if _, err := sys.Run(); err != nil {
-				return nil, err
-			}
-			o := sys.Observer()
 			for c := 0; c < mem.NumJourneyClasses; c++ {
 				jc := mem.JourneyClass(c)
 				classes[c].count += o.JourneyClassCount(jc)
@@ -97,7 +103,7 @@ func Latency(sc Scale) (*Report, error) {
 
 	summary := []string{
 		fmt.Sprintf("%d designs x %d workloads, %d request classes attributed over %d phases",
-			len(designs), len(subset), mem.NumJourneyClasses, mem.NumPhases),
+			len(designs), workloads, mem.NumJourneyClasses, mem.NumPhases),
 	}
 	if tdr := merged[dramcache.TDRAM]; tdr != nil && tdr[mem.ClassReadHit].count > 0 {
 		summary = append(summary, fmt.Sprintf("TDRAM read-hit p50 %.0f ns, p99 %.0f ns over %d hits",
@@ -120,5 +126,5 @@ func Latency(sc Scale) (*Report, error) {
 		},
 		Summary:    summary,
 		PaperClaim: "TDRAM's single-access hit path yields the lowest loaded hit latency of the tag-check schemes (Fig. 9, §V-B)",
-	}, nil
+	}
 }

@@ -6,10 +6,7 @@ import (
 )
 
 func TestPagePolicyAblation(t *testing.T) {
-	rep, err := AblationPagePolicy(tinyScale(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runStudy(t, tinyScale(t), "abl-pagepolicy")
 	s := rep.String()
 	if !strings.Contains(s, "row-hit-frac") {
 		t.Errorf("malformed:\n%s", s)

@@ -6,10 +6,7 @@ import (
 )
 
 func TestPrefetcherStudy(t *testing.T) {
-	rep, err := Prefetcher(tinyScale(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runStudy(t, tinyScale(t), "prefetcher")
 	if !strings.Contains(rep.String(), "prefetcher") {
 		t.Error("malformed report")
 	}

@@ -44,10 +44,7 @@ func TestResilience(t *testing.T) {
 		sc.RequestsPerCore = 600
 		sc.WarmupPerCore = 100
 	}
-	rep, err := Resilience(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runStudy(t, sc, "resilience")
 	s := rep.String()
 	if rep.ID != "resilience" || !strings.Contains(s, "injected") {
 		t.Fatalf("report malformed:\n%s", s)

@@ -8,48 +8,52 @@ import (
 	"runtime/debug"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"tdram/internal/dramcache"
+	"tdram/internal/obs"
+	"tdram/internal/sim"
 	"tdram/internal/system"
 	"tdram/internal/workload"
 )
 
-// MatrixOptions configures a matrix sweep.
+// MatrixOptions configures a sweep: the matrix alone (RunMatrixOpts) or
+// the matrix together with the studies (Reproduce).
 type MatrixOptions struct {
-	// Jobs bounds how many (design, workload) cells simulate concurrently.
-	// Zero or negative selects runtime.GOMAXPROCS(0). Every cell runs on
-	// its own sim.Simulator with its own workload RNG state, so results
-	// are bit-identical whatever Jobs is.
+	// Jobs bounds how many cells simulate concurrently. Zero or negative
+	// selects runtime.GOMAXPROCS(0). Every cell runs on its own
+	// sim.Simulator with its own workload RNG state, so results are
+	// bit-identical whatever Jobs is.
 	Jobs int
 
 	// Progress, when non-nil, receives one line per completed cell. It is
-	// invoked from a single goroutine (the RunMatrixOpts caller's), in the
-	// same workload-major cell order as a serial sweep regardless of which
-	// worker finishes first, so the output of two runs can be diffed.
+	// invoked from a single goroutine (the caller's), in the sweep's cell
+	// order regardless of which worker finishes first, so the output of
+	// two runs can be diffed. A matrix sweep's order is workload-major.
 	Progress func(string)
 
 	// Context, when non-nil, cancels the sweep between cells: once it is
 	// done, no further cell starts simulating — each remaining cell fails
-	// immediately with a CellError wrapping ctx.Err() — and RunMatrixOpts
-	// returns the partial Matrix of the cells that completed before the
-	// cancellation. A cell already simulating finishes (cells are the
-	// cancellation granularity), so the longest wait after a cancel is
-	// one cell, not the rest of the sweep. A nil Context never cancels.
+	// immediately with a CellError wrapping ctx.Err() — and the sweep
+	// returns what completed before the cancellation. A cell already
+	// simulating finishes (cells are the cancellation granularity), so
+	// the longest wait after a cancel is one cell, not the rest of the
+	// sweep. A nil Context never cancels.
 	Context context.Context
 
-	// Filter, when non-nil, restricts the sweep to the cells for which it
-	// returns true. Skipped cells are not simulated, appear in neither
+	// Filter, when non-nil, restricts the matrix to the cells for which
+	// it returns true. Skipped cells are not simulated, appear in neither
 	// the Matrix nor the progress stream, and produce no error — they are
 	// simply not part of this run. tdserve's checkpoint-restart resumes a
 	// half-finished job by filtering out the cells its checkpoint already
 	// holds.
 	Filter func(Key) bool
 
-	// OnCell, when non-nil, receives every run cell as it is drained:
-	// exactly one call per cell, in the same deterministic workload-major
-	// sweep order as Progress, from the caller's goroutine. Failed cells
-	// are delivered with a nil Result and the *CellError; completed cells
-	// with err == nil. tdserve checkpoints from this hook.
+	// OnCell, when non-nil, receives every run matrix cell as it is
+	// drained: exactly one call per cell, in the same deterministic
+	// workload-major order as Progress, from the caller's goroutine.
+	// Failed cells are delivered with a nil Result and the *CellError;
+	// completed cells with err == nil. tdserve checkpoints from this hook.
 	OnCell func(Key, *system.Result, error)
 
 	// Budget, when non-nil, gates cell simulation on a shared CPU-token
@@ -64,9 +68,9 @@ type MatrixOptions struct {
 	Budget *CPUBudget
 }
 
-// CellError records the failure of one (design, workload) cell of a
-// matrix sweep. RunMatrixOpts aggregates them with errors.Join; callers
-// can recover the failed coordinates with errors.As.
+// CellError records the failure of one cell of a sweep, named by its
+// design and workload. The sweeps aggregate them with errors.Join;
+// callers can recover the failed coordinates with errors.As.
 type CellError struct {
 	Design   dramcache.Design
 	Workload string
@@ -79,111 +83,209 @@ func (e *CellError) Error() string {
 
 func (e *CellError) Unwrap() error { return e.Err }
 
-// runCell executes one cell from a warmup image of its own; tests
-// replace it to inject faults (which also disables the fork path — see
-// fakeRunCell).
-var runCell = func(cfg system.Config) (*system.Result, error) {
-	return system.Run(cfg)
+// outcome is one simulated cell: its Result, plus its observer when the
+// cell's config turns one on (the latency study reads the journeys).
+type outcome struct {
+	res *system.Result
+	obs *obs.Observer
 }
 
-// buildImage builds one workload's shared warmup image; tests replace it
-// alongside runCell.
-var buildImage = func(cfg system.Config) (*system.WarmupImage, error) {
-	return system.BuildWarmupImage(cfg)
+// runCell simulates one cell, forking from img (nil: a warmup image of
+// its own); tests replace it to inject faults.
+var runCell = func(cfg system.Config, img *system.WarmupImage) (outcome, error) {
+	sys, err := system.NewWithImage(cfg, img)
+	if err != nil {
+		return outcome{}, err
+	}
+	res, err := sys.Run()
+	o := sys.Observer()
+	if o != nil {
+		o.Detach() // the outcome keeps the observer, not the finished model behind it
+	}
+	return outcome{res, o}, err
 }
+
+// buildImage builds one image key's shared warmup image; tests replace
+// it alongside runCell.
+var buildImage = system.BuildWarmupImage
 
 // runCellSafe executes one cell, forking from img when one is available
 // and compatible, and converts a panicking simulation into a per-cell
 // error so one broken cell cannot take down the rest of the sweep (or
 // the finished part of it). It reports whether the cell forked from the
 // shared image or replayed the warmup into an image of its own.
-func runCellSafe(cfg system.Config, img *system.WarmupImage) (res *system.Result, forked bool, err error) {
+func runCellSafe(cfg system.Config, img *system.WarmupImage) (out outcome, forked bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v\n%s", r, debug.Stack())
 		}
 	}()
 	if img != nil {
-		res, err = system.RunWithImage(cfg, img)
-		if err == nil {
-			return res, true, nil
-		}
+		out, err = runCell(cfg, img)
 		if !errors.Is(err, system.ErrIncompatibleImage) {
-			return nil, true, err // a real simulation failure, not a fork limitation
+			return out, true, err // a result, or a real simulation failure, not a fork limitation
 		}
-		// This design's config cannot be seeded from the shared image;
-		// this cell alone replays the warmup into an image of its own.
+		// This config cannot be seeded from the shared image; this cell
+		// alone replays the warmup into an image of its own.
 	}
-	res, err = runCell(cfg)
-	return res, false, err
+	out, err = runCell(cfg, nil)
+	return out, false, err
 }
 
-// imageSet lazily builds at most one WarmupImage per workload, on
-// whichever worker first reaches a cell of that workload; the other
-// workers' cells block on the Once until it is ready. A build failure
-// (error or panic) leaves the slot nil and every cell of the workload
-// builds its own image.
-type imageSet struct {
-	sc   Scale
-	once []sync.Once
-	imgs []*system.WarmupImage
+// cellKey is a cell's config minus the one incomparable field, the
+// Obs.OnSample hook, which only observes: cells with equal keys produce
+// identical outcomes, so a sweep simulates each key once.
+// TestCellKeyCoversConfig fails when a Config field is missing here.
+type cellKey struct {
+	wl                 workload.Spec
+	cache              dramcache.Config
+	trace, journeys    bool
+	metrics            sim.Tick
+	maxEvents, maxRows int
+	flight             int
+	cores, outstanding int
+	l1, l2             uint64
+	warmup, requests   int
+	watchdog           sim.Tick
+	seed               uint64
 }
 
-func newImageSet(sc Scale) *imageSet {
-	return &imageSet{sc: sc, once: make([]sync.Once, len(sc.Workloads)), imgs: make([]*system.WarmupImage, len(sc.Workloads))}
+func keyOf(c system.Config) cellKey {
+	return cellKey{
+		wl: c.Workload, cache: c.Cache,
+		trace: c.Obs.Trace, journeys: c.Obs.Journeys, metrics: c.Obs.MetricsInterval,
+		maxEvents: c.Obs.MaxTraceEvents, maxRows: c.Obs.MaxSamples, flight: c.Obs.FlightRecorder,
+		cores: c.Cores, outstanding: c.MaxOutstanding, l1: c.L1Bytes, l2: c.L2Bytes,
+		warmup: c.WarmupPerCore, requests: c.RequestsPerCore, watchdog: c.Watchdog, seed: c.Seed,
+	}
 }
 
-func (is *imageSet) get(wi int) *system.WarmupImage {
-	is.once[wi].Do(func() {
+// imageKey is what the functional warmup depends on (see
+// system.WarmupImage): every cell with the same key forks from one
+// image.
+type imageKey struct {
+	wl       workload.Spec
+	seed     uint64
+	cores    int
+	capacity uint64
+	ways     int
+	l1, l2   uint64
+}
+
+func imageKeyOf(c system.Config) imageKey {
+	return imageKey{wl: c.Workload, seed: c.Seed, cores: c.Cores,
+		capacity: c.Cache.CapacityBytes, ways: c.Cache.Ways, l1: c.L1Bytes, l2: c.L2Bytes}
+}
+
+// imageSlot holds one image key's warmup image: built by the first
+// worker to reach one of its cells (the others wait on the Once) and
+// dropped when its last cell is done. A build failure (error or panic)
+// leaves it nil and every cell of the key builds its own image.
+type imageSlot struct {
+	once  sync.Once
+	img   *system.WarmupImage
+	cells []*cellRun // the key's distinct cells, in first-appearance order
+	left  atomic.Int32
+}
+
+func (s *imageSlot) get(cfg system.Config) *system.WarmupImage {
+	s.once.Do(func() {
 		defer func() { recover() }() // a broken build degrades to per-cell images
-		// The image is design-independent; build it under the first matrix
-		// design's config (any would do — compatibility is checked per cell).
-		cfg := is.sc.Config(MatrixDesigns()[0], is.sc.Workloads[wi])
 		if img, err := buildImage(cfg); err == nil {
-			is.imgs[wi] = img
+			s.img = img
 		}
 	})
-	return is.imgs[wi]
+	return s.img
 }
 
-// cell is one (workload, design) coordinate in sweep order. wlIndex is
-// the workload's position in Scale.Workloads — the warmup-image slot —
-// carried explicitly so a Filter-trimmed cell list still forks every
-// cell from the right image.
-type cell struct {
-	wl      workload.Spec
-	d       dramcache.Design
-	wlIndex int
+// release marks one of the key's cells done. Every cell calls get, if
+// at all, before its release, so the last release drops the image once
+// no cell can need it.
+func (s *imageSlot) release() {
+	if s.left.Add(-1) == 0 {
+		s.img = nil
+	}
 }
 
-// sweepCells enumerates the matrix in the canonical workload-major order
-// every progress stream and failure report uses.
-func sweepCells(sc Scale) []cell {
-	var cells []cell
-	for wi, wl := range sc.Workloads {
-		for _, d := range MatrixDesigns() {
-			cells = append(cells, cell{wl, d, wi})
+// cellRun is one distinct cell of a sweep.
+type cellRun struct {
+	cfg    system.Config
+	first  int // index of the first swept cell with this key
+	slot   *imageSlot
+	out    outcome
+	forked bool
+	err    error // a *CellError
+	done   chan struct{}
+}
+
+func (r *cellRun) run(ctx context.Context, lease *CPULease) {
+	defer r.slot.release()
+	err := ctx.Err() // cancelled between cells: fail without simulating
+	if err == nil && lease != nil {
+		// The budget gate: simulation (including the shared warmup-image
+		// build) happens only under a held token. A cancellation while
+		// queued for a token fails the cell like the check above.
+		if err = lease.Acquire(ctx); err == nil {
+			defer lease.Release()
 		}
 	}
-	return cells
+	if err == nil {
+		r.out, r.forked, err = runCellSafe(r.cfg, r.slot.get(r.cfg))
+	}
+	if err != nil {
+		r.out, r.err = outcome{}, &CellError{Design: r.cfg.Cache.Design, Workload: r.cfg.Workload.Name, Err: err}
+	}
 }
 
-// RunMatrixOpts executes every (design, workload) cell of the sweep, up
-// to opts.Jobs cells at a time. A failed cell (error or panic) does not
-// abort the sweep: the remaining cells still run, the returned Matrix
-// holds every completed cell, and the error joins one CellError per
-// failure. The Matrix is always non-nil.
-func RunMatrixOpts(sc Scale, opts MatrixOptions) (*Matrix, error) {
-	cells := sweepCells(sc)
-	if opts.Filter != nil {
-		kept := cells[:0:0]
-		for _, c := range cells {
-			if opts.Filter(Key{c.d, c.wl.Name}) {
-				kept = append(kept, c)
+func (r *cellRun) progress() string {
+	name, d := r.cfg.Workload.Name, r.cfg.Cache.Design.String()
+	if r.err != nil {
+		return fmt.Sprintf("%-8s %-12s FAILED: %s", name, d, firstLine(errors.Unwrap(r.err).Error()))
+	}
+	warmup := "replay"
+	if r.forked {
+		warmup = "fork"
+	}
+	return fmt.Sprintf("%-8s %-12s runtime=%-12v missratio=%.2f warmup=%s",
+		name, d, r.out.res.Runtime, r.out.res.Cache.Outcomes.MissRatio(), warmup)
+}
+
+// sweep is the one cell runner. It simulates each distinct cell (see
+// cellKey) once, forking it from its image key's shared warmup image,
+// up to opts.Jobs at a time under opts.Budget and opts.Context. The
+// distinct cells run grouped by image key, keys in first-appearance
+// order, so each image is dropped soon after it is built. drained
+// receives every distinct cell once, in that order, from the caller's
+// goroutine, after its progress line. sweep returns the run of every
+// input cell; cells with equal keys share one.
+func sweep(cells []system.Config, opts MatrixOptions, drained func(*cellRun)) []*cellRun {
+	runs := make([]*cellRun, len(cells))
+	byKey := make(map[cellKey]*cellRun)
+	byImage := make(map[imageKey]*imageSlot)
+	var slots []*imageSlot
+	for i, cfg := range cells {
+		k := keyOf(cfg)
+		r := byKey[k]
+		if r == nil {
+			ik := imageKeyOf(cfg)
+			s := byImage[ik]
+			if s == nil {
+				s = &imageSlot{}
+				byImage[ik] = s
+				slots = append(slots, s)
 			}
+			r = &cellRun{cfg: cfg, first: i, slot: s, done: make(chan struct{})}
+			s.cells = append(s.cells, r)
+			byKey[k] = r
 		}
-		cells = kept
+		runs[i] = r
 	}
+	var order []*cellRun
+	for _, s := range slots {
+		s.left.Store(int32(len(s.cells)))
+		order = append(order, s.cells...)
+	}
+
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
@@ -192,102 +294,127 @@ func RunMatrixOpts(sc Scale, opts MatrixOptions) (*Matrix, error) {
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
-	if jobs > len(cells) {
-		jobs = len(cells)
-	}
-
-	// Workers pull cell indices and publish into per-cell slots; the
-	// caller's goroutine drains the slots in sweep order, so Matrix
-	// assembly and the Progress callback are single-threaded and the
-	// progress stream is deterministic.
-	results := make([]*system.Result, len(cells))
-	errs := make([]error, len(cells))
-	forked := make([]bool, len(cells))
-	done := make([]chan struct{}, len(cells))
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-	images := newImageSet(sc)
+	jobs = min(jobs, len(order))
 	var lease *CPULease
 	if opts.Budget != nil {
 		lease = opts.Budget.Lease()
 		defer lease.Close()
 	}
-	next := make(chan int)
+	// Workers publish into the runs; the caller's goroutine drains them in
+	// order, so progress and the drained callback are single-threaded and
+	// deterministic.
+	next := make(chan *cellRun)
 	var wg sync.WaitGroup
 	for w := 0; w < jobs; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				c := cells[i]
-				if err := ctx.Err(); err != nil {
-					// Cancelled between cells: fail the remaining cells
-					// without simulating them. Cells already past this
-					// check run to completion.
-					errs[i] = &CellError{Design: c.d, Workload: c.wl.Name, Err: err}
-					close(done[i])
-					continue
-				}
-				if lease != nil {
-					// The budget gate: simulation (including the shared
-					// warmup-image build below) happens only under a held
-					// token. A cancellation while queued for a token fails
-					// the cell exactly like the between-cells check above.
-					if err := lease.Acquire(ctx); err != nil {
-						errs[i] = &CellError{Design: c.d, Workload: c.wl.Name, Err: err}
-						close(done[i])
-						continue
-					}
-				}
-				res, fk, err := runCellSafe(sc.Config(c.d, c.wl), images.get(c.wlIndex))
-				if lease != nil {
-					lease.Release()
-				}
-				if err != nil {
-					err = &CellError{Design: c.d, Workload: c.wl.Name, Err: err}
-					res = nil
-				}
-				results[i], errs[i], forked[i] = res, err, fk
-				close(done[i])
+			for r := range next {
+				r.run(ctx, lease)
+				close(r.done)
 			}
 		}()
 	}
 	go func() {
-		for i := range cells {
-			next <- i
+		for _, r := range order {
+			next <- r
 		}
 		close(next)
 	}()
-
-	m := &Matrix{Scale: sc, Results: make(map[Key]*system.Result, len(cells))}
-	var cellErrs []error
-	for i, c := range cells {
-		<-done[i]
-		if opts.OnCell != nil {
-			opts.OnCell(Key{c.d, c.wl.Name}, results[i], errs[i])
-		}
-		if err := errs[i]; err != nil {
-			cellErrs = append(cellErrs, err)
-			if opts.Progress != nil {
-				opts.Progress(fmt.Sprintf("%-8s %-12s FAILED: %s",
-					c.wl.Name, c.d.String(), firstLine(errors.Unwrap(err).Error())))
-			}
-			continue
-		}
-		res := results[i]
-		m.Results[Key{c.d, c.wl.Name}] = res
+	for _, r := range order {
+		<-r.done
 		if opts.Progress != nil {
-			warmup := "replay"
-			if forked[i] {
-				warmup = "fork"
-			}
-			opts.Progress(fmt.Sprintf("%-8s %-12s runtime=%-12v missratio=%.2f warmup=%s",
-				c.wl.Name, c.d.String(), res.Runtime, res.Cache.Outcomes.MissRatio(), warmup))
+			opts.Progress(r.progress())
 		}
+		drained(r)
 	}
 	wg.Wait()
-	return m, errors.Join(cellErrs...)
+	return runs
+}
+
+// cell is one (workload, design) coordinate of the matrix.
+type cell struct {
+	wl workload.Spec
+	d  dramcache.Design
+}
+
+// sweepCells enumerates the matrix in the canonical workload-major order
+// every progress stream and failure report uses.
+func sweepCells(sc Scale) []cell {
+	var cells []cell
+	for _, wl := range sc.Workloads {
+		for _, d := range MatrixDesigns() {
+			cells = append(cells, cell{wl, d})
+		}
+	}
+	return cells
+}
+
+// run sweeps the matrix (when withMatrix; opts.Filter trims it) and the
+// studies' cells as one set on the one cell runner. It returns the
+// Matrix of every completed matrix cell, each study's report (nil when
+// one of its cells failed), and one CellError per failed distinct cell,
+// joined.
+func (sc Scale) run(withMatrix bool, studies []study, opts MatrixOptions) (*Matrix, []*Report, error) {
+	var cells []system.Config
+	var keys []Key
+	if withMatrix {
+		for _, c := range sweepCells(sc) {
+			if k := (Key{c.d, c.wl.Name}); opts.Filter == nil || opts.Filter(k) {
+				cells = append(cells, sc.Config(c.d, c.wl))
+				keys = append(keys, k)
+			}
+		}
+	}
+	for _, st := range studies {
+		cells = append(cells, st.cells...)
+	}
+
+	m := &Matrix{Scale: sc, Results: make(map[Key]*system.Result, len(keys))}
+	var errs []error
+	runs := sweep(cells, opts, func(r *cellRun) {
+		if r.err != nil {
+			errs = append(errs, r.err)
+		}
+		if r.first >= len(keys) {
+			return // a study's own cell
+		}
+		k := keys[r.first]
+		if opts.OnCell != nil {
+			opts.OnCell(k, r.out.res, r.err)
+		}
+		if r.err == nil {
+			m.Results[k] = r.out.res
+		}
+	})
+
+	runs = runs[len(keys):]
+	reps := make([]*Report, len(studies))
+	for i, st := range studies {
+		outs := make(outcomes, len(st.cells))
+		for j, r := range runs[:len(st.cells)] {
+			if r.err != nil {
+				outs = nil
+				break
+			}
+			outs[j] = r.out
+		}
+		if outs != nil {
+			reps[i] = st.render(outs)
+		}
+		runs = runs[len(st.cells):]
+	}
+	return m, reps, errors.Join(errs...)
+}
+
+// RunMatrixOpts executes every (design, workload) cell of the sweep, up
+// to opts.Jobs cells at a time. A failed cell (error or panic) does not
+// abort the sweep: the remaining cells still run, the returned Matrix
+// holds every completed cell, and the error joins one CellError per
+// failure. The Matrix is always non-nil.
+func RunMatrixOpts(sc Scale, opts MatrixOptions) (*Matrix, error) {
+	m, _, err := sc.run(true, nil, opts)
+	return m, err
 }
 
 func firstLine(s string) string {

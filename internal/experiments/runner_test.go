@@ -17,16 +17,19 @@ import (
 
 // fakeRunCell installs a runCell stub for the duration of the test, so
 // runner-machinery tests don't pay for real simulations. The warmup
-// image builder is stubbed out alongside it (its images would only feed
-// real system runs), so every stubbed cell takes the replay path and
-// the stub sees all of them. The stub result is a pure function of the
-// cell so any schedule yields the same matrix.
+// image builder is stubbed alongside it with an empty image (its
+// content would only feed real system runs), so every cell takes the
+// fork path and reaches the stub once. The stub result is a pure
+// function of the cell so any schedule yields the same matrix.
 func fakeRunCell(t *testing.T, fn func(cfg system.Config) (*system.Result, error)) {
 	t.Helper()
-	oldRun := runCell
-	runCell = fn
-	t.Cleanup(func() { runCell = oldRun })
-	withoutSharedImages(t)
+	oldRun, oldBuild := runCell, buildImage
+	runCell = func(cfg system.Config, _ *system.WarmupImage) (outcome, error) {
+		res, err := fn(cfg)
+		return outcome{res: res}, err
+	}
+	buildImage = func(system.Config) (*system.WarmupImage, error) { return &system.WarmupImage{}, nil }
+	t.Cleanup(func() { runCell, buildImage = oldRun, oldBuild })
 }
 
 // withoutSharedImages stubs the shared warmup-image builder out for the
@@ -352,4 +355,205 @@ func TestMatrixProgressOrdering(t *testing.T) {
 			i++
 		}
 	}
+}
+
+// TestReproduceSimulatesEachConfigOnce sweeps every experiment at the
+// Full scale with stubbed cells. The 227 study cells repeat 95 matrix
+// cells and some of each other's, so the one sweep simulates 328
+// distinct configs, each exactly once, and builds one image per image
+// key: the 28 workloads, plus four more associativities for each of the
+// six set-associativity study workloads.
+func TestReproduceSimulatesEachConfigOnce(t *testing.T) {
+	var mu sync.Mutex
+	sims := map[cellKey]int{}
+	builds := map[imageKey]int{}
+	fakeRunCell(t, func(cfg system.Config) (*system.Result, error) {
+		mu.Lock()
+		sims[keyOf(cfg)]++
+		mu.Unlock()
+		return fakeResult(cfg), nil
+	})
+	buildImage = func(cfg system.Config) (*system.WarmupImage, error) {
+		mu.Lock()
+		builds[imageKeyOf(cfg)]++
+		mu.Unlock()
+		return &system.WarmupImage{}, nil
+	}
+
+	sc := Full()
+	studyCells := 0
+	for _, e := range registry {
+		if e.study != nil {
+			studyCells += len(e.study(sc).cells)
+		}
+	}
+	if studyCells != 227 {
+		t.Errorf("study cells = %d, want 227", studyCells)
+	}
+	ids := append(MatrixExperiments(), StudyExperiments()...)
+	lines := 0
+	reps, m, err := Reproduce(sc, ids, MatrixOptions{Jobs: 4, Progress: func(string) { lines++ }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Results) != 196 {
+		t.Errorf("matrix cells = %d, want 196", len(m.Results))
+	}
+	for i, rep := range reps {
+		if rep == nil {
+			t.Errorf("%s: not rendered", ids[i])
+		}
+	}
+	if len(sims) != 328 || lines != 328 {
+		t.Errorf("simulated %d distinct configs with %d progress lines, want 328", len(sims), lines)
+	}
+	for k, n := range sims {
+		if n != 1 {
+			t.Errorf("%s/%v simulated %d times", k.wl.Name, k.cache.Design, n)
+		}
+	}
+	if len(builds) != 52 {
+		t.Errorf("built images for %d keys, want 52", len(builds))
+	}
+	for k, n := range builds {
+		if n != 1 {
+			t.Errorf("image %s/%d-way built %d times", k.wl.Name, k.ways, n)
+		}
+	}
+}
+
+// TestStudyFaultIsolation injects a panicking cell that only the
+// flush-buffer ablation uses: it fails as one CellError, that study is
+// left unrendered, and every other experiment still renders.
+func TestStudyFaultIsolation(t *testing.T) {
+	sc := Quick()
+	bad := sc.studySubset(6)[0].Name
+	fakeRunCell(t, func(cfg system.Config) (*system.Result, error) {
+		if cfg.Cache.FlushEntries == 1 && cfg.Workload.Name == bad {
+			panic("injected study-cell failure")
+		}
+		return fakeResult(cfg), nil
+	})
+	ids := append(MatrixExperiments(), StudyExperiments()...)
+	reps, m, err := Reproduce(sc, ids, MatrixOptions{Jobs: 4})
+	var cerr *CellError
+	if !errors.As(err, &cerr) {
+		t.Fatalf("error %T does not unwrap to *CellError: %v", err, err)
+	}
+	if n := len(err.(interface{ Unwrap() []error }).Unwrap()); n != 1 {
+		t.Errorf("%d cell errors, want 1", n)
+	}
+	if cerr.Design != dramcache.TDRAM || cerr.Workload != bad || !strings.Contains(cerr.Err.Error(), "injected study-cell failure") {
+		t.Errorf("CellError = %v, want the injected %s/tdram panic", cerr, bad)
+	}
+	for i, rep := range reps {
+		if (rep == nil) != (ids[i] == "abl-flush") {
+			t.Errorf("%s: rendered = %v", ids[i], rep != nil)
+		}
+	}
+	if want := len(sc.Workloads) * len(MatrixDesigns()); len(m.Results) != want {
+		t.Errorf("matrix cells = %d, want %d", len(m.Results), want)
+	}
+}
+
+// TestStudyCancelMidSweep cancels a studies-only sweep after its third
+// cell: the cells already running finish, every other cell fails with a
+// CellError wrapping context.Canceled, and no study renders from a
+// partial cell list.
+func TestStudyCancelMidSweep(t *testing.T) {
+	sc := Quick()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const jobs = 2
+	var mu sync.Mutex
+	started := 0
+	fakeRunCell(t, func(cfg system.Config) (*system.Result, error) {
+		mu.Lock()
+		started++
+		if started == 3 {
+			cancel()
+		}
+		mu.Unlock()
+		return fakeResult(cfg), nil
+	})
+	distinct := map[cellKey]bool{}
+	for _, e := range registry {
+		if e.study != nil {
+			for _, cfg := range e.study(sc).cells {
+				distinct[keyOf(cfg)] = true
+			}
+		}
+	}
+
+	reps, m, err := Reproduce(sc, StudyExperiments(), MatrixOptions{Jobs: jobs, Context: ctx})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("joined error does not report context.Canceled: %v", err)
+	}
+	if m != nil {
+		t.Error("a studies-only sweep returned a matrix")
+	}
+	failed := err.(interface{ Unwrap() []error }).Unwrap()
+	for _, e := range failed {
+		var cerr *CellError
+		if !errors.As(e, &cerr) || !errors.Is(cerr.Err, context.Canceled) {
+			t.Errorf("cell failure %v, want a CellError wrapping context.Canceled", e)
+		}
+	}
+	mu.Lock()
+	ran := started
+	mu.Unlock()
+	if ran < 3 || ran > 3+jobs {
+		t.Errorf("simulated %d cells, want 3..%d", ran, 3+jobs)
+	}
+	if ran+len(failed) != len(distinct) {
+		t.Errorf("simulated %d + failed %d cells, want %d distinct", ran, len(failed), len(distinct))
+	}
+	for i, rep := range reps {
+		if rep != nil {
+			t.Errorf("%s rendered from a cancelled sweep", StudyExperiments()[i])
+		}
+	}
+}
+
+// TestCellKeyCoversConfig guards cellKey against drift: changing any
+// system.Config field but the observational Obs.OnSample hook must
+// change the key, or one sweep would merge two different cells.
+func TestCellKeyCoversConfig(t *testing.T) {
+	sc := Quick()
+	base := sc.Config(dramcache.TDRAM, sc.Workloads[0])
+	var walk func(typ reflect.Type, index []int, path string)
+	walk = func(typ reflect.Type, index []int, path string) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			idx := append(append([]int(nil), index...), i)
+			name := path + f.Name
+			cfg := base
+			v := reflect.ValueOf(&cfg).Elem().FieldByIndex(idx)
+			switch {
+			case v.Kind() == reflect.Struct:
+				walk(f.Type, idx, name+".")
+				continue
+			case name == "Obs.OnSample":
+				continue
+			case !v.CanSet():
+				t.Fatalf("%s: unexported field", name)
+			case v.Kind() == reflect.Bool:
+				v.SetBool(!v.Bool())
+			case v.CanInt():
+				v.SetInt(v.Int() + 1)
+			case v.CanUint():
+				v.SetUint(v.Uint() + 1)
+			case v.CanFloat():
+				v.SetFloat(v.Float() + 0.5)
+			case v.Kind() == reflect.String:
+				v.SetString(v.String() + "x")
+			default:
+				t.Fatalf("%s: unhandled kind %v", name, v.Kind())
+			}
+			if keyOf(cfg) == keyOf(base) {
+				t.Errorf("cellKey ignores Config.%s", name)
+			}
+		}
+	}
+	walk(reflect.TypeOf(base), nil, "")
 }

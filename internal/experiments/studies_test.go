@@ -27,6 +27,16 @@ func tinyScale(t *testing.T) Scale {
 	}
 }
 
+// runStudy regenerates one study through Reproduce, the one sweep path.
+func runStudy(t *testing.T, sc Scale, id string) *Report {
+	t.Helper()
+	reps, _, err := Reproduce(sc, []string{id}, MatrixOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reps[0]
+}
+
 func TestStudySubsetBalanced(t *testing.T) {
 	sc := tinyScale(t)
 	sub := sc.studySubset(2)
@@ -43,10 +53,7 @@ func TestStudySubsetBalanced(t *testing.T) {
 }
 
 func TestSecVD(t *testing.T) {
-	rep, err := SecVD(tinyScale(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runStudy(t, tinyScale(t), "predictor")
 	s := rep.String()
 	if !strings.Contains(s, "map-i") {
 		t.Errorf("report:\n%s", s)
@@ -57,20 +64,14 @@ func TestSecVD(t *testing.T) {
 }
 
 func TestSecVE(t *testing.T) {
-	rep, err := SecVE(tinyScale(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runStudy(t, tinyScale(t), "flushbuf")
 	if !strings.Contains(rep.String(), "16") {
 		t.Error("size sweep missing 16-entry row")
 	}
 }
 
 func TestSecVF(t *testing.T) {
-	rep, err := SecVF(tinyScale(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runStudy(t, tinyScale(t), "setassoc")
 	s := rep.String()
 	for _, w := range []string{" 1 ", " 16 "} {
 		if !strings.Contains(s, w) {
@@ -81,13 +82,8 @@ func TestSecVF(t *testing.T) {
 
 func TestAblations(t *testing.T) {
 	sc := tinyScale(t)
-	for _, f := range []func(Scale) (*Report, error){
-		AblationProbing, AblationProbePolicy, AblationFlushBuffer, AblationCondColumn,
-	} {
-		rep, err := f(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, id := range []string{"abl-probing", "abl-probe-policy", "abl-flush", "abl-condcol"} {
+		rep := runStudy(t, sc, id)
 		if len(rep.String()) < 60 {
 			t.Errorf("%s: report too thin", rep.ID)
 		}
@@ -104,10 +100,7 @@ func TestAblationProbingHelps(t *testing.T) {
 		}
 	}
 	sc.Workloads = high
-	rep, err := AblationProbing(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runStudy(t, sc, "abl-probing")
 	if !strings.Contains(rep.Summary[0], "probing improves") {
 		t.Fatalf("summary: %v", rep.Summary)
 	}

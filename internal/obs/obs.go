@@ -126,6 +126,21 @@ func (o *Observer) Now() sim.Tick {
 	return o.sim.Now()
 }
 
+// Detach unlinks the observer of a finished run from its simulation: the
+// simulator and the sampler's gauges reach the whole model, so a caller
+// that keeps the observer for its outputs (journey aggregates, trace,
+// samples, counters) would otherwise keep the model alive too. Nothing
+// is recorded after Detach, and Now reports 0.
+func (o *Observer) Detach() {
+	if o == nil {
+		return
+	}
+	o.sim = nil
+	if sp := o.sampler; sp != nil {
+		sp.sim, sp.fns = nil, nil
+	}
+}
+
 // TraceEnabled reports whether Perfetto events are being recorded. Hook
 // sites that build event arguments guard on this to keep the disabled
 // path to one branch.

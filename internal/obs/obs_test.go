@@ -222,6 +222,28 @@ func TestSamplerSeries(t *testing.T) {
 	}
 }
 
+// TestDetachKeepsOutputs: a detached observer drops its links into the
+// model — the simulator and the gauge closures — and keeps every output
+// it recorded.
+func TestDetachKeepsOutputs(t *testing.T) {
+	v := 0.0
+	o := runSampled(t, 1000, 3500, map[string]func() float64{
+		"ramp": func() float64 { v += 1; return v },
+	})
+	o.Detach()
+	if o.sim != nil || o.sampler.sim != nil || o.sampler.fns != nil {
+		t.Error("detached observer still reaches the simulation")
+	}
+	if o.Now() != 0 {
+		t.Errorf("Now after Detach = %v, want 0", o.Now())
+	}
+	if got := o.MetricSeries("ramp"); len(got) != 3 || got[2] != 3 {
+		t.Errorf("series after Detach = %v, want [1 2 3]", got)
+	}
+	var nilObs *Observer
+	nilObs.Detach()
+}
+
 func TestMetricsCSVRoundTrip(t *testing.T) {
 	v := 0.0
 	o := runSampled(t, 1000, 3500, map[string]func() float64{

@@ -141,26 +141,41 @@ type Matrix = experiments.Matrix
 // Report is one regenerated table or figure.
 type Report = experiments.Report
 
-// MatrixOptions configures a matrix sweep: the worker-pool width (Jobs)
-// and the single-threaded, deterministically ordered progress callback.
+// MatrixOptions configures a sweep: the worker-pool width (Jobs), the
+// single-threaded, deterministically ordered progress callback, and
+// cancellation.
 type MatrixOptions = experiments.MatrixOptions
 
-// CellError records the failure of one (design, workload) cell; a
-// partially failed RunMatrix returns an errors.Join of these.
+// CellError records the failure of one cell; a partially failed sweep
+// returns an errors.Join of these.
 type CellError = experiments.CellError
 
-// RunMatrix executes every (design, workload) cell of the evaluation,
-// fanning cells out across runtime.GOMAXPROCS(0) workers. Results are
-// bit-identical to a serial sweep. On per-cell failures it returns the
-// partial Matrix of completed cells plus the joined CellErrors.
-func RunMatrix(sc Scale, progress func(string)) (*Matrix, error) {
-	return experiments.RunMatrix(sc, progress)
-}
-
-// RunMatrixOpts is RunMatrix with an explicit worker count.
+// RunMatrixOpts executes every (design, workload) cell of the evaluation
+// on the cell runner, fanning cells out across opts.Jobs workers.
+// Results are bit-identical to a serial sweep. On per-cell failures it
+// returns the partial Matrix of completed cells plus the joined
+// CellErrors.
 func RunMatrixOpts(sc Scale, opts MatrixOptions) (*Matrix, error) {
 	return experiments.RunMatrixOpts(sc, opts)
 }
+
+// Reproduce regenerates the named experiments (MatrixExperiments,
+// StudyExperiments) in one sweep: the matrix and every study's cells
+// run together, each distinct configuration once, forked from shared
+// warmup images. It returns one report per id (nil for a study whose
+// cells failed), the matrix (nil when no figure is named) and the
+// joined CellErrors.
+func Reproduce(sc Scale, ids []string, opts MatrixOptions) ([]*Report, *Matrix, error) {
+	return experiments.Reproduce(sc, ids, opts)
+}
+
+// MatrixExperiments lists the matrix-derived experiment ids (Figs. 1-3,
+// 9-13, Table IV) in paper order.
+func MatrixExperiments() []string { return experiments.MatrixExperiments() }
+
+// StudyExperiments lists the study ids (§V-D/E/F, the TDRAM ablations,
+// resilience, latency attribution) in report order.
+func StudyExperiments() []string { return experiments.StudyExperiments() }
 
 // ReproduceFigures regenerates every matrix-derived artifact (Figs. 1-3,
 // 9-13 and Table IV) in paper order.
@@ -186,27 +201,3 @@ type FaultConfig = fault.Config
 // FaultCounters aggregates an injected run's fault accounting
 // (Result.Cache.Fault).
 type FaultCounters = fault.Counters
-
-// Standalone studies (each runs its own sweeps).
-var (
-	// PredictorStudy reproduces §V-D (MAP-I on Cascade Lake and Alloy).
-	PredictorStudy = experiments.SecVD
-	// Resilience sweeps fault-injection rates over TDRAM.
-	Resilience = experiments.Resilience
-	// LatencyStudy attributes per-request latency to journey phases and
-	// reports per-class tail percentiles, breakdowns and CDFs.
-	LatencyStudy = experiments.Latency
-	// PrefetcherStudy reproduces §V-D's prefetcher discussion.
-	PrefetcherStudy = experiments.Prefetcher
-	// FlushBufferStudy reproduces §V-E (buffer size sensitivity).
-	FlushBufferStudy = experiments.SecVE
-	// SetAssocStudy reproduces §V-F (direct-mapped vs set-associative).
-	SetAssocStudy = experiments.SecVF
-	// Ablations of TDRAM's design choices.
-	AblationProbing     = experiments.AblationProbing
-	AblationProbePolicy = experiments.AblationProbePolicy
-	AblationFlushBuffer = experiments.AblationFlushBuffer
-	AblationCondColumn  = experiments.AblationCondColumn
-	// AblationPagePolicy compares close-page vs open-page row policies.
-	AblationPagePolicy = experiments.AblationPagePolicy
-)

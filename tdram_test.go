@@ -79,7 +79,7 @@ func TestTinyMatrixAndFigures(t *testing.T) {
 		WarmupPerCore:   200,
 		Workloads:       []tdram.Workload{tdram.MustWorkload("lu.C"), tdram.MustWorkload("is.D")},
 	}
-	m, err := tdram.RunMatrix(sc, nil)
+	m, err := tdram.RunMatrixOpts(sc, tdram.MatrixOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
