@@ -7,54 +7,26 @@
 // Usage:
 //
 //	tdserve serve -addr :8344 -dir ./tdserve-store
-//	tdserve loadtest -url http://localhost:8344 -n 200 -ramp 1,4,16,64
 //
 // serve runs until SIGINT/SIGTERM, then shuts down gracefully: stop
 // accepting, cancel running jobs at their next cell boundary (finished
-// cells are already checkpointed), flush, exit.
-//
-// loadtest drives a hit/miss request mix at one or more concurrency
-// levels and reports wall-clock latency percentiles per level. Hits
-// repeat one configuration (after the first fill, every request is a
-// cache hit, so the latency measures the serving tier, not the
-// simulator); misses perturb the configuration's fault seed — a field
-// that changes the content address without changing the simulation's
-// cost — so each miss pays for exactly one fresh tiny simulation.
+// cells are already checkpointed), flush, exit. The benchmark module
+// (bench/, workload serve-mixed) drives the service with a hit/miss mix.
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"tdram/internal/serve"
 	"tdram/internal/sim"
-	"tdram/internal/stats"
 )
-
-// wallNow and wallSince isolate the harness's legitimate wall-clock
-// reads — request latency measurement, never simulated time — behind
-// one annotated seam so the determinism analyzer covers the rest of the
-// command (the same pattern as tdbench).
-func wallNow() time.Time {
-	return time.Now() //tdlint:allow determinism — harness wall-clock timing, not simulated time
-}
-
-func wallSince(t time.Time) time.Duration {
-	return time.Since(t) //tdlint:allow determinism — harness wall-clock timing, not simulated time
-}
 
 func main() {
 	if len(os.Args) < 2 {
@@ -65,8 +37,6 @@ func main() {
 	switch os.Args[1] {
 	case "serve":
 		err = runServe(os.Args[2:])
-	case "loadtest":
-		err = runLoadtest(os.Args[2:])
 	case "-h", "-help", "--help", "help":
 		usage()
 	default:
@@ -85,8 +55,6 @@ func usage() {
   tdserve serve    [-addr :8344] [-dir DIR] [-queue N] [-workers N]
                    [-sim-jobs N] [-sim-tokens N] [-mem-cache BYTES]
                    [-deadline DUR] [-metrics DUR]
-  tdserve loadtest [-url URL] [-n N] [-c N | -ramp N,N,...]
-                   [-miss-frac F] [-body JSON] [-json FILE]
 `)
 }
 
@@ -152,180 +120,4 @@ func runServe(args []string) error {
 		return err
 	}
 	return httpErr
-}
-
-// stageReport is one concurrency level's outcome in the loadtest report.
-type stageReport struct {
-	Concurrency int `json:"concurrency"`
-	Requests    int `json:"requests"`
-	MemHits     int `json:"mem_hits"`
-	DiskHits    int `json:"disk_hits"`
-	Misses      int `json:"misses"`
-	Errors      int `json:"errors"`
-
-	P50NS float64 `json:"p50_ns"`
-	P90NS float64 `json:"p90_ns"`
-	P99NS float64 `json:"p99_ns"`
-	MaxNS float64 `json:"max_ns"`
-}
-
-// loadReport is the -json output: the parameters plus one stageReport
-// per ramp level.
-type loadReport struct {
-	URL       string        `json:"url"`
-	PerStage  int           `json:"requests_per_stage"`
-	MissFrac  float64       `json:"miss_frac"`
-	Stages    []stageReport `json:"stages"`
-	TotalErrs int           `json:"total_errors"`
-}
-
-func runLoadtest(args []string) error {
-	fs := flag.NewFlagSet("loadtest", flag.ExitOnError)
-	url := fs.String("url", "http://localhost:8344", "tdserve base URL")
-	n := fs.Int("n", 50, "requests per stage")
-	c := fs.Int("c", 4, "concurrent clients (ignored when -ramp is set)")
-	ramp := fs.String("ramp", "", "comma-separated concurrency levels, e.g. 1,4,16,64")
-	missFrac := fs.Float64("miss-frac", 0, "fraction of requests that are unique-configuration misses [0,1]")
-	body := fs.String("body", `{"workloads":["bt.C"],"cache_mb":1,"requests_per_core":50,"warmup_per_core":10}`,
-		"request body (a serve.Request)")
-	jsonPath := fs.String("json", "", "write the per-stage report to this file as JSON")
-	fs.Parse(args)
-	if *n <= 0 {
-		return fmt.Errorf("loadtest: -n must be positive")
-	}
-	if *missFrac < 0 || *missFrac > 1 {
-		return fmt.Errorf("loadtest: -miss-frac %g is not in [0,1]", *missFrac)
-	}
-	var base serve.Request
-	if err := json.Unmarshal([]byte(*body), &base); err != nil {
-		return fmt.Errorf("loadtest: -body does not parse as a serve.Request: %v", err)
-	}
-	levels := []int{*c}
-	if *ramp != "" {
-		levels = levels[:0]
-		for _, part := range strings.Split(*ramp, ",") {
-			lv, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || lv <= 0 {
-				return fmt.Errorf("loadtest: bad -ramp level %q", part)
-			}
-			levels = append(levels, lv)
-		}
-	}
-
-	// Misses must be unique across the whole run (a repeated "miss" is a
-	// hit); the seed base keys them away from any previous run against
-	// the same store.
-	var seed atomic.Uint64
-	seed.Store(uint64(wallNow().UnixNano()))
-
-	report := loadReport{URL: *url, PerStage: *n, MissFrac: *missFrac}
-	for _, level := range levels {
-		st := runStage(*url, *n, level, *missFrac, base, &seed)
-		report.Stages = append(report.Stages, st)
-		report.TotalErrs += st.Errors
-		fmt.Printf("c=%-3d requests: %d  mem: %d  disk: %d  simulated: %d  errors: %d\n",
-			level, st.Requests, st.MemHits, st.DiskHits, st.Misses, st.Errors)
-		fmt.Printf("      latency: p50 %s  p90 %s  p99 %s  max %s\n",
-			fmtDur(st.P50NS), fmtDur(st.P90NS), fmtDur(st.P99NS), fmtDur(st.MaxNS))
-	}
-
-	if *jsonPath != "" {
-		blob, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*jsonPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("report: %s\n", *jsonPath)
-	}
-	if report.TotalErrs > 0 {
-		return fmt.Errorf("loadtest: %d request(s) failed", report.TotalErrs)
-	}
-	return nil
-}
-
-// runStage fires n requests at the service from `level` concurrent
-// clients. missFrac of them (interleaved evenly by accumulator, not
-// front-loaded) carry a fresh fault seed — a new content address at
-// unchanged simulation cost — so they exercise the full miss path.
-func runStage(url string, n, level int, missFrac float64, base serve.Request, seed *atomic.Uint64) stageReport {
-	work := make(chan bool, n) // true = this request is a miss
-	acc := 0.0
-	for i := 0; i < n; i++ {
-		acc += missFrac
-		miss := acc >= 1
-		if miss {
-			acc--
-		}
-		work <- miss
-	}
-	close(work)
-
-	var (
-		mu   sync.Mutex
-		hist = stats.NewLogHist()
-		st   = stageReport{Concurrency: level, Requests: n}
-	)
-	var wg sync.WaitGroup
-	for i := 0; i < level; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			client := &http.Client{Timeout: 15 * time.Minute}
-			for miss := range work {
-				req := base
-				if miss {
-					req.FaultSeed = seed.Add(1)
-				}
-				payload, err := json.Marshal(req)
-				if err != nil {
-					mu.Lock()
-					st.Errors++
-					mu.Unlock()
-					continue
-				}
-				start := wallNow()
-				resp, err := client.Post(url+"/jobs?wait=1", "application/json", bytes.NewReader(payload))
-				if err != nil {
-					mu.Lock()
-					st.Errors++
-					mu.Unlock()
-					continue
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				d := wallSince(start)
-				mu.Lock()
-				hist.AddTick(sim.Tick(d.Nanoseconds()) * sim.Nanosecond)
-				switch {
-				case resp.StatusCode != http.StatusOK:
-					st.Errors++
-				default:
-					switch resp.Header.Get("Tdserve-Cache") {
-					case "mem":
-						st.MemHits++
-					case "disk":
-						st.DiskHits++
-					default:
-						st.Misses++
-					}
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-
-	if hist.N() > 0 {
-		st.P50NS = hist.PercentileNS(0.50)
-		st.P90NS = hist.PercentileNS(0.90)
-		st.P99NS = hist.PercentileNS(0.99)
-		st.MaxNS = float64(hist.Max().Nanoseconds())
-	}
-	return st
-}
-
-func fmtDur(ns float64) string {
-	return time.Duration(ns).Round(10 * time.Microsecond).String()
 }

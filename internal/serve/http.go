@@ -23,8 +23,8 @@ const maxRequestBytes = 1 << 20
 //	GET  /metricz           serving-tier metrics snapshot (counters, gauges, latency hists)
 //
 // POST /jobs?wait=1 blocks until the job reaches a terminal state and
-// responds like GET .../result — the one-call mode loadtest and the CI
-// smoke test use.
+// responds like GET .../result — the one-call mode the benchmark's
+// serve-mixed clients and the kill-and-restart e2e test use.
 //
 // Result responses carry the zero-copy hit framing: a strong ETag
 // derived from the content address and code version (If-None-Match

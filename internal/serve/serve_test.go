@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"tdram/internal/experiments"
+	"tdram/internal/obs/service"
 )
 
 // tinyRequest is the smallest job the tests run: one workload, seven
@@ -249,6 +250,62 @@ func TestServeCacheHitIsByteIdentical(t *testing.T) {
 		if c.Accesses == 0 {
 			t.Errorf("cell %s/%s reports zero accesses", c.Workload, c.Design)
 		}
+	}
+}
+
+// TestMetriczOverHTTP fetches /metricz after a miss and a memory hit
+// and checks the snapshot a client sees: JSON, and the serving-tier
+// counters, gauges and per-endpoint latency histograms the requests
+// moved.
+func TestMetriczOverHTTP(t *testing.T) {
+	s := newTestServer(t, t.TempDir(), nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	body, _ := json.Marshal(tinyRequest())
+	for i := 0; i < 2; i++ {
+		resp, err := http.Post(ts.URL+"/jobs?wait=1", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := readAll(t, resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("submit %d: %d %s", i, resp.StatusCode, b)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/metricz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := readAll(t, resp)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+		t.Fatalf("/metricz: %d %q", resp.StatusCode, resp.Header.Get("Content-Type"))
+	}
+	var snap []service.Metric
+	if err := json.Unmarshal(b, &snap); err != nil {
+		t.Fatalf("/metricz does not parse: %v\n%s", err, b)
+	}
+	got := map[string]service.Metric{}
+	for _, m := range snap {
+		got[m.Name] = m
+	}
+	// The waited miss is answered from the memory tier it wrote through,
+	// so both submissions count a memory hit.
+	for name, want := range map[string]float64{
+		"serve.misses":        1,
+		"serve.hits_mem":      2,
+		"serve.jobs_admitted": 1,
+		"serve.jobs_done":     1,
+		"serve.cells_done":    float64(tinyRequestCells(t)),
+		"serve.tokens_total":  float64(s.Budget().Total()),
+	} {
+		if m, ok := got[name]; !ok || m.Value != want {
+			t.Errorf("%s = %+v, want value %g", name, m, want)
+		}
+	}
+	if h := got["http.submit"]; h.Kind != "hist" || h.Count != 2 || h.P50NS <= 0 {
+		t.Errorf("http.submit = %+v, want a histogram of the 2 submissions", h)
 	}
 }
 
