@@ -101,7 +101,6 @@ func (o *Observer) ResetJourneys() {
 		return
 	}
 	o.journeys.resetAt = o.journeys.nextID
-	o.journeys.closed = false
 	for i := range o.journeys.classes {
 		agg := &o.journeys.classes[i]
 		agg.hist = stats.NewLogHist()
