@@ -10,6 +10,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"unsafe"
 
 	"tdram/internal/mem"
 	"tdram/internal/sim"
@@ -217,6 +218,11 @@ func (c *Cache) Clone() *Cache {
 	return &d
 }
 
+// Bytes reports the memory the cache's arrays hold.
+func (c *Cache) Bytes() int64 {
+	return int64(len(c.lines))*int64(unsafe.Sizeof(line{})) + int64(len(c.tags))*8
+}
+
 // Occupancy reports the fraction of valid lines (warmup diagnostics).
 func (c *Cache) Occupancy() float64 {
 	n := 0
@@ -269,6 +275,9 @@ func NewSizedHierarchy(l1Bytes, l2Bytes uint64) *Hierarchy {
 func (h *Hierarchy) Clone() *Hierarchy {
 	return &Hierarchy{L1: h.L1.Clone(), L2: h.L2.Clone()}
 }
+
+// Bytes reports the memory the stack's arrays hold.
+func (h *Hierarchy) Bytes() int64 { return h.L1.Bytes() + h.L2.Bytes() }
 
 // AccessResult summarizes one core access against the stack.
 type AccessResult struct {

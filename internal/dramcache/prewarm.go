@@ -1,6 +1,9 @@
 package dramcache
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // This file builds warmed DRAM-cache content: the stand-in for the
 // paper's LoopPoint checkpoints, which start every run with warmed SRAM
@@ -64,6 +67,11 @@ func (p *Prewarmer) Image() *TagImage {
 	}
 	p.t = nil
 	return img
+}
+
+// Bytes reports the memory the image's tag array holds.
+func (img *TagImage) Bytes() int64 {
+	return int64(len(img.lines)) * int64(unsafe.Sizeof(lineState{}))
 }
 
 // InstallTags overwrites the controller's cache content with a deep

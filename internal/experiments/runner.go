@@ -66,6 +66,13 @@ type MatrixOptions struct {
 	// scheduling between independent cells — results stay bit-identical
 	// to an ungated run. A nil Budget never gates.
 	Budget *CPUBudget
+
+	// Images, when non-nil, keeps warmup images across sweeps: each image
+	// key's image comes from the cache, built there on the key's first
+	// use by any sweep sharing it (see ImageCache). A nil Images builds
+	// each image in the sweep and drops it after the key's last cell.
+	// Results are bit-identical either way.
+	Images *ImageCache
 }
 
 // CellError records the failure of one cell of a sweep, named by its
@@ -177,30 +184,29 @@ func imageKeyOf(c system.Config) imageKey {
 		capacity: c.Cache.CapacityBytes, ways: c.Cache.Ways, l1: c.L1Bytes, l2: c.L2Bytes}
 }
 
-// imageSlot holds one image key's warmup image: built by the first
-// worker to reach one of its cells (the others wait on the Once) and
-// dropped when its last cell is done. A build failure (error or panic)
-// leaves it nil and every cell of the key builds its own image.
+// imageSlot holds one image key's warmup image for a sweep: fetched by
+// the first worker to reach one of its cells (the others wait on the
+// Once) from the sweep's ImageCache, which builds it unless it already
+// holds it, and dropped when the key's last cell is done. A build
+// failure (error or panic) leaves it nil and every cell of the key
+// builds its own image.
 type imageSlot struct {
-	once  sync.Once
-	img   *system.WarmupImage
-	cells []*cellRun // the key's distinct cells, in first-appearance order
-	left  atomic.Int32
+	key    imageKey
+	images *ImageCache
+	once   sync.Once
+	img    *system.WarmupImage
+	cells  []*cellRun // the key's distinct cells, in first-appearance order
+	left   atomic.Int32
 }
 
 func (s *imageSlot) get(cfg system.Config) *system.WarmupImage {
-	s.once.Do(func() {
-		defer func() { recover() }() // a broken build degrades to per-cell images
-		if img, err := buildImage(cfg); err == nil {
-			s.img = img
-		}
-	})
+	s.once.Do(func() { s.img = s.images.get(s.key, cfg) })
 	return s.img
 }
 
 // release marks one of the key's cells done. Every cell calls get, if
-// at all, before its release, so the last release drops the image once
-// no cell can need it.
+// at all, before its release, so the last release drops the sweep's
+// hold on the image once no cell can need it (opts.Images may keep it).
 func (s *imageSlot) release() {
 	if s.left.Add(-1) == 0 {
 		s.img = nil
@@ -254,10 +260,11 @@ func (r *cellRun) progress() string {
 // cellKey) once, forking it from its image key's shared warmup image,
 // up to opts.Jobs at a time under opts.Budget and opts.Context. The
 // distinct cells run grouped by image key, keys in first-appearance
-// order, so each image is dropped soon after it is built. drained
-// receives every distinct cell once, in that order, from the caller's
-// goroutine, after its progress line. sweep returns the run of every
-// input cell; cells with equal keys share one.
+// order, so each image is dropped soon after it is built, unless
+// opts.Images keeps it for later sweeps. drained receives every
+// distinct cell once, in that order, from the caller's goroutine, after
+// its progress line. sweep returns the run of every input cell; cells
+// with equal keys share one.
 func sweep(cells []system.Config, opts MatrixOptions, drained func(*cellRun)) []*cellRun {
 	runs := make([]*cellRun, len(cells))
 	byKey := make(map[cellKey]*cellRun)
@@ -270,7 +277,7 @@ func sweep(cells []system.Config, opts MatrixOptions, drained func(*cellRun)) []
 			ik := imageKeyOf(cfg)
 			s := byImage[ik]
 			if s == nil {
-				s = &imageSlot{}
+				s = &imageSlot{key: ik, images: opts.Images}
 				byImage[ik] = s
 				slots = append(slots, s)
 			}

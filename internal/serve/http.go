@@ -204,7 +204,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, j.Status())
 		return
 	}
-	// The process restarted since this job ran; the store remembers.
+	// A done job is forgotten (or ran before a restart); the store
+	// remembers it.
 	if _, _, ok := s.lookupResult(id); ok {
 		writeJSON(w, http.StatusOK, Status{ID: id, State: StateDone})
 		return
@@ -251,14 +252,25 @@ func (s *Server) serveResult(w http.ResponseWriter, r *http.Request, id string, 
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	j, ok := s.Job(id)
-	if !ok {
-		httpError(w, http.StatusNotFound, "unknown job "+id)
-		return
-	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		httpError(w, http.StatusNotImplemented, "streaming unsupported")
+		return
+	}
+	var ch <-chan Event
+	if j, ok := s.Job(id); ok {
+		sub, cancel := j.Subscribe()
+		defer cancel()
+		ch = sub
+	} else if _, _, ok := s.lookupResult(id); ok {
+		// A done job is forgotten; its stored result stands for it, so
+		// the stream is the terminal state a late subscriber would get.
+		done := make(chan Event, 1)
+		done <- Event{Type: "state", State: StateDone}
+		close(done)
+		ch = done
+	} else {
+		httpError(w, http.StatusNotFound, "unknown job "+id)
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -266,8 +278,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 
-	ch, cancel := j.Subscribe()
-	defer cancel()
 	for {
 		select {
 		case <-r.Context().Done():

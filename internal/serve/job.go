@@ -65,42 +65,52 @@ func cellResultFrom(k experiments.Key, res *system.Result) CellResult {
 }
 
 // cellKey names one cell inside a checkpoint.
-func cellKey(k experiments.Key) string { return k.Workload + "|" + k.Design.String() }
+func cellKey(workload, design string) string { return workload + "|" + design }
 
-// Checkpoint is a job's durable restart state: the canonical request
-// plus every cell completed so far. It is written at admission (empty,
-// so a queued-but-unstarted job survives a crash too: accepted is never
-// silently dropped) and rewritten after each completed cell. Because
-// the simulator is deterministic, completed-cell results ARE a
-// sufficient checkpoint — resuming means filtering those cells out of
-// the sweep, not replaying a simulator snapshot.
+// Checkpoint is a job's durable restart state, read from its journal
+// `<id>.ckpt` (see Journal): the canonical request, from the header
+// record written at admission (so a queued-but-unstarted job survives a
+// crash too: accepted is never silently dropped), plus every cell
+// completed so far, one appended record each. Because the simulator is
+// deterministic, completed-cell results ARE a sufficient checkpoint —
+// resuming means filtering those cells out of the sweep, not replaying a
+// simulator snapshot.
 type Checkpoint struct {
-	Request Request               `json:"request"`
-	Cells   map[string]CellResult `json:"cells"`
+	Request Request
+	Cells   map[string]CellResult
 }
 
-func loadCheckpoint(payload []byte) (*Checkpoint, error) {
-	var ck Checkpoint
-	if err := json.Unmarshal(payload, &ck); err != nil {
+// loadCheckpoint decodes id's journal. A header that is not id's
+// canonical request (a foreign or tampered entry) is an error.
+func loadCheckpoint(id string, jr *Journal) (*Checkpoint, error) {
+	ck := &Checkpoint{Cells: make(map[string]CellResult, len(jr.Cells))}
+	if err := json.Unmarshal(jr.Header, &ck.Request); err != nil {
 		return nil, fmt.Errorf("serve: checkpoint: %w", err)
-	}
-	if ck.Cells == nil {
-		ck.Cells = make(map[string]CellResult)
 	}
 	// The stored request is already canonical, but re-canonicalizing is
 	// cheap and guards against a hand-edited store directory.
 	if err := ck.Request.Canonicalize(); err != nil {
 		return nil, fmt.Errorf("serve: checkpoint: %w", err)
 	}
-	return &ck, nil
+	if ck.Request.ID() != id {
+		return nil, fmt.Errorf("serve: checkpoint %s holds request %s", id, ck.Request.ID())
+	}
+	for _, rec := range jr.Cells {
+		var c CellResult
+		if err := json.Unmarshal(rec, &c); err != nil {
+			return nil, fmt.Errorf("serve: checkpoint cell: %w", err)
+		}
+		ck.Cells[cellKey(c.Workload, c.Design)] = c
+	}
+	return ck, nil
 }
 
-func (ck *Checkpoint) marshal() []byte {
-	// Cells is a map, but encoding/json sorts object keys, so the
-	// checkpoint bytes are deterministic too.
-	b, err := json.Marshal(ck)
+// marshalJSON encodes a checkpoint record: the request or a cell, both
+// structs, so the bytes are deterministic.
+func marshalJSON(v any) []byte {
+	b, err := json.Marshal(v)
 	if err != nil {
-		panic(fmt.Sprintf("serve: checkpoint does not marshal: %v", err))
+		panic(fmt.Sprintf("serve: checkpoint record does not marshal: %v", err))
 	}
 	return b
 }

@@ -14,11 +14,14 @@
 // queue with explicit 429 + Retry-After backpressure, per-job deadlines
 // via context cancellation in the matrix runner, a supervisor that
 // converts worker panics into failed-job states, per-cell
-// checkpoint-restart so a killed server resumes in-flight jobs instead
-// of restarting them from tick 0, crash-safe store writes (temp file +
-// fsync + atomic rename; corrupt entries are detected by checksum and
+// checkpoint-restart from an append-only journal so a killed server
+// resumes in-flight jobs instead of restarting them from tick 0,
+// crash-safe store writes (temp file + fsync + atomic rename; corrupt
+// entries and torn journal records are detected by checksum and
 // treated as misses, never 500s), and graceful shutdown that drains or
-// checkpoints in-flight jobs within a deadline.
+// checkpoints in-flight jobs within a deadline. Warmup images outlive
+// their job in a bounded cache, so a miss that shares an earlier job's
+// image key skips the functional warmup.
 package serve
 
 import (

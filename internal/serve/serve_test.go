@@ -791,3 +791,110 @@ func readAll(t *testing.T, resp *http.Response) ([]byte, error) {
 	_, err := buf.ReadFrom(resp.Body)
 	return buf.Bytes(), err
 }
+
+// TestDoneJobIsForgotten: a finished job leaves the server's job table,
+// so the table and the 429 backlog walk do not grow with every
+// configuration served, and its status, result and event stream then
+// answer from the store.
+func TestDoneJobIsForgotten(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	s := newTestServer(t, t.TempDir(), nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	req := tinyRequest()
+	req.Canonicalize()
+	id := req.ID()
+	body, _ := json.Marshal(req)
+	resp, err := http.Post(ts.URL+"/jobs?wait=1", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := readAll(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("submit: %d %s", resp.StatusCode, want)
+	}
+	if _, ok := s.Job(id); ok {
+		t.Error("done job is still in the job table")
+	}
+	if n := s.queuedCells(); n != 0 {
+		t.Errorf("queued cells = %d with no job in play", n)
+	}
+
+	get := func(path string) (*http.Response, []byte) {
+		t.Helper()
+		r, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := readAll(t, r)
+		return r, b
+	}
+	if r, b := get("/jobs/" + id); r.StatusCode != http.StatusOK || !strings.Contains(string(b), `"state":"done"`) {
+		t.Errorf("status: %d %s, want 200 done", r.StatusCode, b)
+	}
+	if r, b := get("/jobs/" + id + "/result"); r.StatusCode != http.StatusOK || !bytes.Equal(b, want) {
+		t.Errorf("result: %d, byte-identical %v", r.StatusCode, bytes.Equal(b, want))
+	}
+	r, b := get("/jobs/" + id + "/events")
+	if r.StatusCode != http.StatusOK || r.Header.Get("Content-Type") != "text/event-stream" {
+		t.Fatalf("events: %d %q", r.StatusCode, r.Header.Get("Content-Type"))
+	}
+	if got, wantEv := string(b), "data: {\"type\":\"state\",\"state\":\"done\"}\n\n"; got != wantEv {
+		t.Errorf("events stream = %q, want the one terminal state %q", got, wantEv)
+	}
+	if r, _ := get("/jobs/0123456789abcdef0123456789abcdef/events"); r.StatusCode != http.StatusNotFound {
+		t.Errorf("events for an unknown job: %d, want 404", r.StatusCode)
+	}
+}
+
+// TestImageCacheResultsByteIdentical: a job that forks from the warmup
+// image an earlier job left in the server's image cache stores the
+// document a server without the cache stores.
+func TestImageCacheResultsByteIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	first, second := tinyRequest(), tinyRequest()
+	second.RequestsPerCore = 60 // a new content address with the same image key
+	for _, r := range []*Request{&first, &second} {
+		if err := r.Canonicalize(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := func(s *Server, req Request) []byte {
+		t.Helper()
+		j, err := s.Admit(req.ID(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitTerminal(t, j); st != StateDone {
+			t.Fatalf("job ended %s: %+v", st, j.Status())
+		}
+		b, ok := s.Store().GetResult(req.ID())
+		if !ok {
+			t.Fatal("no stored result")
+		}
+		return b
+	}
+
+	cached := newTestServer(t, t.TempDir(), nil)
+	run(cached, first)
+	got := run(cached, second)
+	if n := cached.images.Len(); n != 1 {
+		t.Fatalf("image cache holds %d images after two jobs of one image key, want 1", n)
+	}
+
+	real := runMatrix
+	runMatrix = func(sc experiments.Scale, opts experiments.MatrixOptions) (*experiments.Matrix, error) {
+		opts.Images = nil
+		return real(sc, opts)
+	}
+	defer func() { runMatrix = real }()
+	want := run(newTestServer(t, t.TempDir(), nil), second)
+	if !bytes.Equal(got, want) {
+		t.Errorf("result forked from a cached image differs from one without the cache:\n%s\nvs\n%s", got, want)
+	}
+}

@@ -71,6 +71,14 @@ type Config struct {
 	Version string
 }
 
+// imageCacheBytes bounds the warmup images a Server keeps across jobs,
+// measured from the images' own arrays (system.WarmupImage.Bytes). A
+// default request's image (8 MiB cache, 8 cores) holds 3.3 MiB, almost
+// all of it the 24-byte-per-line tag array, so the bound keeps the
+// images of about two default jobs; a 1 GiB cache's 384 MiB tag array is
+// never kept.
+const imageCacheBytes = 64 << 20
+
 // runMatrix is the sweep entry point; tests replace it to hold the
 // worker on a job deterministically (the same seam idiom as the
 // runner's own runCell/buildImage).
@@ -83,9 +91,9 @@ var (
 )
 
 // Server owns the job queue, the worker pool, the two-tier result
-// store (memory LRU over the crash-safe disk store), and the shared
-// CPU-token budget. See the package comment for the robustness
-// contract.
+// store (memory LRU over the crash-safe disk store), the shared
+// CPU-token budget and the warmup-image cache every job's sweep shares.
+// See the package comment for the robustness contract.
 type Server struct {
 	cfg     Config
 	store   *Store
@@ -94,6 +102,7 @@ type Server struct {
 	workers int
 
 	budget *experiments.CPUBudget
+	images *experiments.ImageCache
 
 	metrics *service.Metrics
 	drain   drainWindow
@@ -160,6 +169,7 @@ func NewServer(cfg Config) (*Server, error) {
 		version: version,
 		workers: cfg.Workers,
 		budget:  experiments.NewCPUBudget(cfg.SimTokens),
+		images:  experiments.NewImageCache(imageCacheBytes),
 		metrics: service.NewMetrics(),
 		jobs:    make(map[string]*Job),
 	}
@@ -203,6 +213,8 @@ func (s *Server) initMetrics() {
 	m.Gauge("serve.tokens_inflight", func() float64 { return float64(s.budget.InUse()) })
 	m.Gauge("serve.memcache_bytes", func() float64 { return float64(s.tier.Bytes()) })
 	m.Gauge("serve.memcache_entries", func() float64 { return float64(s.tier.Len()) })
+	m.Gauge("serve.imagecache_bytes", func() float64 { return float64(s.images.Bytes()) })
+	m.Gauge("serve.imagecache_entries", func() float64 { return float64(s.images.Len()) })
 }
 
 // recover scans the store for checkpoints left by a previous process
@@ -212,19 +224,20 @@ func (s *Server) initMetrics() {
 func (s *Server) recover() []*Job {
 	var jobs []*Job
 	for _, id := range s.store.Checkpoints() {
-		payload, ok := s.store.GetCheckpoint(id)
-		if !ok {
-			continue // corrupt: treated exactly like no checkpoint
-		}
-		ck, err := loadCheckpoint(payload)
-		if err != nil || ck.Request.ID() != id {
-			continue // foreign or tampered entry
-		}
 		if _, done := s.store.GetResult(id); done {
 			// Killed after the result landed but before the checkpoint
 			// delete; finish the bookkeeping now.
 			s.store.DeleteCheckpoint(id)
 			continue
+		}
+		jr, err := s.store.OpenJournal(id)
+		if err != nil {
+			continue // corrupt: treated exactly like no checkpoint
+		}
+		ck, err := loadCheckpoint(id, jr)
+		jr.Close()
+		if err != nil {
+			continue // foreign or tampered entry
 		}
 		j := newJob(id, ck.Request)
 		j.setDone(len(ck.Cells))
@@ -256,7 +269,8 @@ func (s *Server) Budget() *experiments.CPUBudget { return s.budget }
 func (s *Server) Metrics() *service.Metrics { return s.metrics }
 
 // queuedCells totals the unfinished cells of every queued or running
-// job — the backlog a 429'd client is waiting behind.
+// job — the backlog a 429'd client is waiting behind. Done jobs are
+// forgotten (see finish), so it walks only jobs still in play.
 func (s *Server) queuedCells() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -277,7 +291,8 @@ func (s *Server) retryAfter() int {
 	return retryAfterSeconds(s.queuedCells(), s.drain.cellsPerSec(wallNow()))
 }
 
-// Job looks up an admitted job by content address.
+// Job looks up an admitted job by content address. A done job is
+// forgotten: its stored result answers for it.
 func (s *Server) Job(id string) (*Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -302,18 +317,14 @@ func (s *Server) Admit(id string, req Request) (*Job, error) {
 			// Content addressing dedupes in flight: join, don't duplicate.
 			return j, nil
 		}
-		// Terminal record. The HTTP tier only reaches Admit after a store
-		// miss, so a "done" job here means its stored result has since
-		// been lost or corrupted — re-admit and re-simulate (determinism
-		// reproduces the same bytes). Failed jobs may be retried too.
+		// A failed job (done jobs are forgotten): a resubmission retries it.
 	}
-	// Durable-before-acknowledged: the empty checkpoint makes a
+	// Durable-before-acknowledged: the journal's header record makes a
 	// queued-but-unstarted job survive a crash. Skip the write when a
 	// previous incarnation already checkpointed progress for this id.
 	_, hadCheckpoint := s.store.GetCheckpoint(id)
 	if !hadCheckpoint {
-		ck := &Checkpoint{Request: req, Cells: make(map[string]CellResult)}
-		if err := s.store.PutCheckpoint(id, ck.marshal()); err != nil {
+		if err := s.store.PutCheckpoint(id, marshalJSON(&req)); err != nil {
 			return nil, err
 		}
 	}
@@ -370,16 +381,13 @@ func (s *Server) runJob(j *Job) {
 	// already; serving it beats re-simulating it.
 	if _, ok := s.store.GetResult(j.id); ok {
 		s.store.DeleteCheckpoint(j.id)
-		s.cJobsDone.Inc()
-		j.setState(StateDone)
+		s.finish(j)
 		return
 	}
 
-	ck := &Checkpoint{Request: j.req, Cells: make(map[string]CellResult)}
-	if payload, ok := s.store.GetCheckpoint(j.id); ok {
-		if loaded, err := loadCheckpoint(payload); err == nil {
-			ck = loaded // resume: completed cells are skipped below
-		}
+	jr, ck := s.openCheckpoint(j)
+	if jr != nil {
+		defer jr.Close()
 	}
 	j.setDone(len(ck.Cells))
 	j.setState(StateRunning)
@@ -407,24 +415,29 @@ func (s *Server) runJob(j *Job) {
 	opts := experiments.MatrixOptions{
 		Jobs:    s.cfg.SimJobs,
 		Budget:  s.budget,
+		Images:  s.images,
 		Context: ctx,
 		Filter: func(k experiments.Key) bool {
-			_, done := ck.Cells[cellKey(k)]
+			_, done := ck.Cells[cellKey(k.Workload, k.Design.String())]
 			return !done
 		},
 		OnCell: func(k experiments.Key, res *system.Result, err error) {
 			if err != nil {
 				return // cancellation or a cell failure; classified after the sweep
 			}
-			ck.Cells[cellKey(k)] = cellResultFrom(k, res)
+			c := cellResultFrom(k, res)
+			key := cellKey(c.Workload, c.Design)
+			ck.Cells[key] = c
 			// Per-cell durability: a SIGKILL from here on loses at most
-			// the cell currently in flight. A failed write degrades the
+			// the cell currently in flight. A failed append degrades the
 			// checkpoint, not the job — ck still holds the cell in
 			// memory, so an uninterrupted run completes normally.
-			_ = s.store.PutCheckpoint(j.id, ck.marshal())
+			if jr != nil {
+				_ = jr.Append(marshalJSON(&c))
+			}
 			s.drain.note(wallNow())
 			s.cCells.Inc()
-			j.cellDone(cellKey(k), len(ck.Cells))
+			j.cellDone(key, len(ck.Cells))
 		},
 	}
 	_, runErr := runMatrix(sc, opts)
@@ -446,8 +459,7 @@ func (s *Server) runJob(j *Job) {
 		// memory hit, and the bytes it serves are the bytes just stored.
 		s.tier.Put(j.id, s.version, doc)
 		s.store.DeleteCheckpoint(j.id)
-		s.cJobsDone.Inc()
-		j.setState(StateDone)
+		s.finish(j)
 		return
 	}
 
@@ -479,6 +491,40 @@ func (s *Server) runJob(j *Job) {
 		return
 	}
 	j.fail(runErr.Error(), diagnostics)
+}
+
+// openCheckpoint opens j's checkpoint journal and loads the cells it
+// holds. A missing or unreadable journal is started afresh; if even
+// that fails, the job runs without one (nil Journal) and a crash would
+// restart it from tick 0.
+func (s *Server) openCheckpoint(j *Job) (*Journal, *Checkpoint) {
+	if jr, err := s.store.OpenJournal(j.id); err == nil {
+		if ck, err := loadCheckpoint(j.id, jr); err == nil {
+			return jr, ck // resume: completed cells are skipped by the sweep
+		}
+		jr.Close()
+	}
+	ck := &Checkpoint{Request: j.req, Cells: make(map[string]CellResult)}
+	if s.store.PutCheckpoint(j.id, marshalJSON(&j.req)) == nil {
+		if jr, err := s.store.OpenJournal(j.id); err == nil {
+			return jr, ck
+		}
+	}
+	return nil, ck
+}
+
+// finish marks j done and forgets it: from here on the stored result
+// answers for the job (status, result and events all fall back to it),
+// so Server.jobs holds only jobs still in play and does not grow with
+// every configuration ever served.
+func (s *Server) finish(j *Job) {
+	s.mu.Lock()
+	if s.jobs[j.id] == j {
+		delete(s.jobs, j.id)
+	}
+	s.mu.Unlock()
+	s.cJobsDone.Inc()
+	j.setState(StateDone)
 }
 
 // Close stops admission, cancels the running job at its next cell

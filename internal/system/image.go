@@ -123,6 +123,20 @@ func BuildWarmupImage(cfg Config) (*WarmupImage, error) {
 	return img, nil
 }
 
+// Bytes reports the memory the image's arrays hold: the tag array and
+// every core's L1/L2 content (the streams hold none). A cache keeping
+// images across sweeps bounds itself by it.
+func (img *WarmupImage) Bytes() int64 {
+	var n int64
+	if img.tags != nil {
+		n = img.tags.Bytes()
+	}
+	for _, h := range img.hiers {
+		n += h.Bytes()
+	}
+	return n
+}
+
 // CompatibleWith reports whether the image can seed cfg; the error
 // (wrapping ErrIncompatibleImage) names the first mismatched parameter.
 func (img *WarmupImage) CompatibleWith(cfg Config) error {
