@@ -1,7 +1,10 @@
 // Golden-stats pin for the simulation kernel: every design's full
 // Result (outcome counts, latency means and histograms, traffic and
 // energy breakdowns) must be bit-identical run over run AND match the
-// committed fingerprints in testdata/kernel_golden.json.
+// committed fingerprints in testdata/kernel_golden.json. Each cell also
+// pins the number of events its kernel fired: the count is
+// deterministic, so a change that fires more (or fewer) events fails
+// here even when it leaves every statistic alone.
 //
 // The fingerprints were generated with the original container/heap event
 // queue; the timing-wheel kernel that replaced it must preserve the
@@ -74,18 +77,25 @@ var goldenVariants = []goldenVariant{
 	}, false},
 }
 
+// goldenPin is one cell's entry in the golden file: the Result
+// fingerprint and the number of events the kernel fired.
+type goldenPin struct {
+	Fingerprint string `json:"fingerprint"`
+	Fired       uint64 `json:"fired"`
+}
+
 // goldenCell runs one micro-scale simulation and fingerprints the full
 // Result via its reflected rendering (covers every exported and
 // unexported stat field, histograms included).
-func goldenCell(t testing.TB, d tdram.Design) string {
+func goldenCell(t testing.TB, d tdram.Design) goldenPin {
 	t.Helper()
-	h, _ := goldenRun(t, d, nil)
-	return h
+	pin, _ := goldenRun(t, d, nil)
+	return pin
 }
 
 // goldenRun runs one micro-scale cell with an optional config tweak and
-// returns its fingerprint alongside the Result.
-func goldenRun(t testing.TB, d tdram.Design, tweak func(*tdram.SystemConfig)) (string, *tdram.Result) {
+// returns its pin alongside the Result.
+func goldenRun(t testing.TB, d tdram.Design, tweak func(*tdram.SystemConfig)) (goldenPin, *tdram.Result) {
 	t.Helper()
 	cfg := tdram.NewSystemConfig(d, tdram.MustWorkload("ft.C"), 8<<20)
 	cfg.RequestsPerCore = 1500
@@ -93,11 +103,18 @@ func goldenRun(t testing.TB, d tdram.Design, tweak func(*tdram.SystemConfig)) (s
 	if tweak != nil {
 		tweak(&cfg)
 	}
-	res, err := tdram.Run(cfg)
+	sys, err := tdram.NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%+v", res)))), res
+	res, err := sys.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return goldenPin{
+		Fingerprint: fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%+v", res)))),
+		Fired:       sys.Simulator().Fired(),
+	}, res
 }
 
 // TestKernelStatsDeterminism runs every design twice on fresh kernels
@@ -110,27 +127,27 @@ func TestKernelStatsDeterminism(t *testing.T) {
 	}
 	for _, d := range designs {
 		if a, b := goldenCell(t, d), goldenCell(t, d); a != b {
-			t.Errorf("%v: stats differ between identical runs: %s vs %s", d, a, b)
+			t.Errorf("%v: stats differ between identical runs: %+v vs %+v", d, a, b)
 		}
 	}
 }
 
-// TestKernelStatsGolden compares each design's fingerprint against the
-// committed golden file.
+// TestKernelStatsGolden compares each design's fingerprint and fired
+// count against the committed golden file.
 func TestKernelStatsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden cells cover all designs; skipped under -short")
 	}
-	got := make(map[string]string, len(goldenDesigns)+len(goldenVariants))
+	got := make(map[string]goldenPin, len(goldenDesigns)+len(goldenVariants))
 	for _, d := range goldenDesigns {
 		got[d.String()] = goldenCell(t, d)
 	}
 	for _, v := range goldenVariants {
-		h, res := goldenRun(t, v.design, v.tweak)
+		pin, res := goldenRun(t, v.design, v.tweak)
 		if f := res.Cache.Fault; v.fault && (f.Injected == 0 || f.Retries == 0) {
 			t.Errorf("%s: fault cell injected %d and retried %d; both must be nonzero", v.name, f.Injected, f.Retries)
 		}
-		got[v.name] = h
+		got[v.name] = pin
 	}
 	if *updateGolden {
 		blob, err := json.MarshalIndent(got, "", "  ")
@@ -150,13 +167,16 @@ func TestKernelStatsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing golden file (run with -update-golden): %v", err)
 	}
-	want := make(map[string]string)
+	want := make(map[string]goldenPin)
 	if err := json.Unmarshal(blob, &want); err != nil {
 		t.Fatal(err)
 	}
-	for d, h := range got {
-		if want[d] != h {
-			t.Errorf("%s: stats fingerprint %s does not match golden %s — the kernel reordered events (or a model change moved timing; regenerate with -update-golden if intentional)", d, h, want[d])
+	for d, pin := range got {
+		if want[d].Fingerprint != pin.Fingerprint {
+			t.Errorf("%s: stats fingerprint %s does not match golden %s — the kernel reordered events (or a model change moved timing; regenerate with -update-golden if intentional)", d, pin.Fingerprint, want[d].Fingerprint)
+		}
+		if want[d].Fired != pin.Fired {
+			t.Errorf("%s: fired %d events, golden %d — a change added or removed events (regenerate with -update-golden, with a CHANGES.md line saying why, if intentional)", d, pin.Fired, want[d].Fired)
 		}
 	}
 }
