@@ -16,11 +16,12 @@ var hotStructs = map[string][]string{
 	"./internal/sim":       {"event"},
 	"./internal/dramcache": {"txn"},
 	"./internal/backing":   {"mmReq"},
+	"./internal/mem":       {"Request"},
 }
 
 func TestHotStructsPacked(t *testing.T) {
 	if testing.Short() {
-		t.Skip("type-checks three packages; skipped in -short runs")
+		t.Skip("type-checks four packages; skipped in -short runs")
 	}
 	patterns := make([]string, 0, len(hotStructs))
 	for p := range hotStructs {

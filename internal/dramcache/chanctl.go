@@ -6,6 +6,7 @@ import (
 	"tdram/internal/dram"
 	"tdram/internal/mem"
 	"tdram/internal/obs"
+	"tdram/internal/ring"
 	"tdram/internal/sim"
 )
 
@@ -34,14 +35,21 @@ const (
 // typed-argument callback's argument — the hot completion paths schedule
 // (package function, *txn) pairs instead of capturing closures, which
 // keeps the per-event allocation count at zero.
-// Pointer- and word-sized fields lead and the flag bytes trail so the
-// struct packs without interior padding (88 bytes rather than the 112
-// the declaration-order layout costs); internal/analysis's fieldalign
+//
+// Transactions recycle through a per-channel freelist (getTxn,
+// releaseTxn). refs counts the holders: each queue slot, each pending
+// event or backing fetch that carries the transaction, and a dependent's
+// dep link. Every holder releases exactly once, and the last release
+// returns the record to the freelist.
+//
+// Pointer- and word-sized fields lead and the narrow ones trail so the
+// struct packs without interior padding; internal/analysis's fieldalign
 // test pins this.
 type txn struct {
 	cc     *chanCtl
-	req    *mem.Request // nil for fills
+	req    *mem.Request // nil for fills and victim reads, and once the request is handed back
 	dep    *txn         // issue only after dep.done (Ideal write-miss-dirty)
+	next   *txn         // freelist link while pooled
 	line   uint64
 	victim uint64
 	bank   int
@@ -52,6 +60,10 @@ type txn struct {
 	// starts its main-memory fetch in parallel with the tag check.
 	predDataAt sim.Tick
 
+	// reqGen is req's generation when the transaction took it: the
+	// completion goes through it, so a stale request reference panics.
+	reqGen uint32
+
 	kind    txnKind
 	outcome mem.Outcome
 
@@ -60,7 +72,6 @@ type txn struct {
 	fill bool
 
 	outcomeKnown bool
-	victimDirty  bool
 
 	probed        bool // TDRAM: outcome fixed by an early tag probe
 	probeResolved bool // the probe's HM result reached the controller
@@ -77,6 +88,8 @@ type txn struct {
 
 	// retries counts ECC-triggered re-issues of this transaction.
 	retries uint8
+
+	refs uint8 // holders still referencing the transaction
 }
 
 // flushEntry is one victim line parked in the on-die flush buffer,
@@ -95,9 +108,9 @@ type chanCtl struct {
 
 	readQ    []*txn
 	writeQ   []*txn
-	overflow []*txn // fills/writes awaiting write-queue space
+	overflow ring.Ring[*txn] // fills/writes awaiting write-queue space
 
-	flush []flushEntry // victim lines parked in the on-die flush buffer
+	flush ring.Ring[flushEntry] // victim lines parked in the on-die flush buffer
 
 	draining bool
 	// forceDrain makes the explicit StreamRead path eligible whenever the
@@ -108,6 +121,7 @@ type chanCtl struct {
 	retryGen   uint64
 	retryFree  *retryEv // recycled retry-event records
 	lineFree   *lineEv  // recycled deferred-writeback records
+	txnFree    *txn     // recycled transactions
 
 	// Perfetto tracks; zero when tracing is off (see observe.go).
 	trkReadQ  obs.TrackID
@@ -121,6 +135,66 @@ func (cc *chanCtl) spec() *designSpec { return &cc.ctl.spec }
 func (cc *chanCtl) now() sim.Tick     { return cc.ctl.sim.Now() }
 func (cc *chanCtl) st() *Stats        { return &cc.ctl.stats }
 
+// getTxn takes a cleared transaction of the given kind for line off the
+// channel's freelist, allocating only when the freelist is empty. req
+// (nil for fills and victim reads) rides along with its generation.
+// The caller hands the first reference to a holder (push, at, a fetch).
+func (cc *chanCtl) getTxn(kind txnKind, req *mem.Request, line uint64, bank int) *txn {
+	t := cc.txnFree
+	if t == nil {
+		t = &txn{cc: cc}
+	} else {
+		cc.txnFree = t.next
+		t.next = nil
+	}
+	t.kind, t.line, t.bank, t.row, t.arrive = kind, line, bank, cc.rowOf(line), cc.now()
+	if req != nil {
+		t.req, t.reqGen = req, req.Gen()
+	}
+	return t
+}
+
+// releaseTxn drops one holder's reference to t; the last one clears the
+// record onto the freelist (dropping its own dep link in turn). The
+// caller must not touch t afterwards.
+func (cc *chanCtl) releaseTxn(t *txn) {
+	if t.refs == 0 {
+		panic("dramcache: transaction released more often than held")
+	}
+	if t.refs--; t.refs > 0 {
+		return
+	}
+	if d := t.dep; d != nil {
+		d.cc.releaseTxn(d)
+	}
+	*t = txn{cc: cc, next: cc.txnFree}
+	cc.txnFree = t
+}
+
+// push appends t to a queue; the queue slot holds a reference until the
+// scheduling pass removes and issues it.
+func (cc *chanCtl) push(q *[]*txn, t *txn) {
+	t.refs++
+	//tdlint:allow poollife — the slot is a counted reference: pass removes t, issues it and only then releases it
+	*q = append(*q, t)
+}
+
+// at schedules fn(t) at when; the pending event holds a reference that
+// fn releases when it fires.
+func (cc *chanCtl) at(when sim.Tick, fn func(any, sim.Tick), t *txn) {
+	t.refs++
+	//tdlint:allow poollife — the event is a counted reference: every handler ends by releasing it
+	cc.ctl.sim.ScheduleArgAt(when, fn, t)
+}
+
+// carrier builds the queue-less transaction that carries an Ideal read
+// miss through its backing fetch.
+func (cc *chanCtl) carrier(req *mem.Request, line uint64, bank int) *txn {
+	t := cc.getTxn(txnRead, req, line, bank)
+	t.fill = true
+	return t
+}
+
 // acceptRead admits a demand read (design-specific intake).
 func (cc *chanCtl) acceptRead(req *mem.Request, bank int) bool {
 	line := req.Line()
@@ -130,7 +204,7 @@ func (cc *chanCtl) acceptRead(req *mem.Request, bank int) bool {
 	if len(cc.readQ) >= ReadQueueDepth {
 		return false
 	}
-	t := &txn{cc: cc, kind: txnRead, req: req, line: line, bank: bank, row: cc.rowOf(line), arrive: cc.now()}
+	t := cc.getTxn(txnRead, req, line, bank)
 	if cc.ctl.predictor != nil {
 		if !cc.ctl.predictor.Predict(req.Core, line) && cc.ctl.mm.ReadQueueFree(line) {
 			// Predicted miss: start the backing fetch in parallel.
@@ -141,13 +215,14 @@ func (cc *chanCtl) acceptRead(req *mem.Request, bank int) bool {
 			cc.ctl.mmMeter.Acts++
 			cc.ctl.mmMeter.Cols++
 			cc.ctl.mmMeter.Bytes += 64
+			t.refs++ // the fetch holds t until predictorDataEv
 			cc.ctl.mm.ReadArg(line, predictorDataEv, t)
 			if j := req.J; j != nil {
 				j.Enter(mem.PhaseMissFetch, cc.now())
 			}
 		}
 	}
-	cc.readQ = append(cc.readQ, t)
+	cc.push(&cc.readQ, t)
 	cc.pass()
 	return true
 }
@@ -167,21 +242,17 @@ func (cc *chanCtl) acceptReadIdeal(req *mem.Request, line uint64, bank int) bool
 	}
 	switch outcome {
 	case mem.ReadHit:
-		cc.readQ = append(cc.readQ, &txn{
-			cc: cc, kind: txnRead, req: req, line: line, bank: bank, row: cc.rowOf(line), arrive: cc.now(),
-			outcomeKnown: true, outcome: outcome,
-		})
+		t := cc.getTxn(txnRead, req, line, bank)
+		t.outcomeKnown, t.outcome = true, outcome
+		cc.push(&cc.readQ, t)
 		cc.pass()
 	case mem.ReadMissClean:
 		cc.ctl.markInflight(line)
-		cc.ctl.missFetch(&txn{cc: cc, req: req, line: line, fill: true})
+		cc.ctl.missFetch(cc.carrier(req, line, bank))
 	case mem.ReadMissDirty:
 		cc.ctl.markInflight(line)
-		cc.ctl.missFetch(&txn{cc: cc, req: req, line: line, fill: true})
-		vb := cc.bankOf(victim)
-		cc.readQ = append(cc.readQ, &txn{
-			cc: cc, kind: txnVictimRead, line: victim, bank: vb, row: cc.rowOf(victim), arrive: cc.now(),
-		})
+		cc.ctl.missFetch(cc.carrier(req, line, bank))
+		cc.push(&cc.readQ, cc.getTxn(txnVictimRead, nil, victim, cc.bankOf(victim)))
 		cc.pass()
 	}
 	return true
@@ -196,9 +267,7 @@ func (cc *chanCtl) acceptWrite(req *mem.Request, bank int) bool {
 		if len(cc.writeQ) >= WriteQueueDepth {
 			return false
 		}
-		cc.writeQ = append(cc.writeQ, &txn{
-			cc: cc, kind: txnWrite, req: req, line: line, bank: bank, row: cc.rowOf(line), arrive: cc.now(),
-		})
+		cc.push(&cc.writeQ, cc.getTxn(txnWrite, req, line, bank))
 		cc.pass()
 		return true
 	case tagsOracle:
@@ -208,19 +277,21 @@ func (cc *chanCtl) acceptWrite(req *mem.Request, bank int) bool {
 		outcome, victim, _ := cc.ctl.tags.access(line, true, true)
 		cc.st().Outcomes.Add(outcome)
 		cc.observeOutcome(outcome, cc.now())
-		w := &txn{
-			cc: cc, kind: txnWrite, req: req, line: line, bank: bank, row: cc.rowOf(line), arrive: cc.now(),
-			outcomeKnown: true, outcome: outcome,
+		// The victim readout needs a read-queue slot. The check comes
+		// before any transaction is taken, so a rejected write holds none.
+		if outcome == mem.WriteMissDirty && len(cc.readQ) >= ReadQueueDepth {
+			return false
 		}
+		w := cc.getTxn(txnWrite, req, line, bank)
+		w.outcomeKnown, w.outcome = true, outcome
 		if outcome == mem.WriteMissDirty {
-			if len(cc.readQ) >= ReadQueueDepth {
-				return false
-			}
-			v := &txn{cc: cc, kind: txnVictimRead, line: victim, bank: cc.bankOf(victim), row: cc.rowOf(victim), arrive: cc.now()}
+			v := cc.getTxn(txnVictimRead, nil, victim, cc.bankOf(victim))
+			v.refs++ // w's dep link, released when w is
+			//tdlint:allow poollife — the dep link is a counted reference that releaseTxn drops when w is recycled
 			w.dep = v
-			cc.readQ = append(cc.readQ, v)
+			cc.push(&cc.readQ, v)
 		}
-		cc.writeQ = append(cc.writeQ, w)
+		cc.push(&cc.writeQ, w)
 		cc.pass()
 		return true
 	}
@@ -235,10 +306,9 @@ func (cc *chanCtl) acceptWrite(req *mem.Request, bank int) bool {
 		cc.st().Outcomes.Add(outcome)
 		cc.observeOutcome(outcome, cc.now())
 		cc.ctl.bearObserve(line, outcome)
-		cc.writeQ = append(cc.writeQ, &txn{
-			cc: cc, kind: txnWrite, req: req, line: line, bank: bank, row: cc.rowOf(line), arrive: cc.now(),
-			outcomeKnown: true, outcome: outcome,
-		})
+		w := cc.getTxn(txnWrite, req, line, bank)
+		w.outcomeKnown, w.outcome = true, outcome
+		cc.push(&cc.writeQ, w)
 		cc.pass()
 		return true
 	}
@@ -251,22 +321,14 @@ func (cc *chanCtl) acceptWriteTagRead(req *mem.Request, line uint64, bank int) b
 		return false
 	}
 	cc.st().WriteTagReads++
-	cc.readQ = append(cc.readQ, &txn{
-		cc: cc, kind: txnWriteTagRead, req: req, line: line, bank: bank, row: cc.rowOf(line), arrive: cc.now(),
-	})
+	cc.push(&cc.readQ, cc.getTxn(txnWriteTagRead, req, line, bank))
 	cc.pass()
 	return true
 }
 
 // enqueueFill queues the write that installs fetched miss data.
 func (cc *chanCtl) enqueueFill(line uint64, bank int) {
-	t := &txn{cc: cc, kind: txnFill, line: line, bank: bank, row: cc.rowOf(line), arrive: cc.now()}
-	if len(cc.writeQ) >= WriteQueueDepth {
-		cc.overflow = append(cc.overflow, t)
-		return
-	}
-	cc.writeQ = append(cc.writeQ, t)
-	cc.pass()
+	cc.enqueueWriteTxn(cc.getTxn(txnFill, nil, line, bank))
 }
 
 // bankOf routes a line within this channel (victims share the set, hence
@@ -307,7 +369,7 @@ func (cc *chanCtl) issuable(t *txn) bool {
 	if t.kind == txnWrite && cc.spec().tags == tagsInDevice && !t.outcomeKnown {
 		// An ActWr that would displace a dirty victim needs flush space.
 		pr := cc.ctl.tags.probe(t.line)
-		if !pr.Hit && pr.Dirty && len(cc.flush) >= cc.cfg().FlushEntries {
+		if !pr.Hit && pr.Dirty && cc.flush.Len() >= cc.cfg().FlushEntries {
 			if r := t.req; r != nil {
 				if j := r.J; j != nil {
 					// Enter dedups, so repeated scheduling passes keep the
@@ -326,9 +388,9 @@ func (cc *chanCtl) issuable(t *txn) bool {
 func (cc *chanCtl) pass() {
 	now := cc.now()
 	// Move overflowed fills into freed write-queue slots.
-	for len(cc.overflow) > 0 && len(cc.writeQ) < WriteQueueDepth {
-		cc.writeQ = append(cc.writeQ, cc.overflow[0])
-		cc.overflow = cc.overflow[1:]
+	for cc.overflow.Len() > 0 && len(cc.writeQ) < WriteQueueDepth {
+		//tdlint:allow poollife — the overflow slot's counted reference moves with the transaction into the write queue
+		cc.writeQ = append(cc.writeQ, cc.overflow.Pop())
 	}
 	issued := false
 	// future is the earliest future issue time seen by the final
@@ -360,6 +422,7 @@ func (cc *chanCtl) pass() {
 		if t != nil {
 			cc.remove(primary, t)
 			cc.issue(t, now)
+			cc.releaseTxn(t) // the queue slot's reference
 			issued = true
 			continue
 		}
@@ -367,6 +430,7 @@ func (cc *chanCtl) pass() {
 		if t != nil {
 			cc.remove(secondary, t)
 			cc.issue(t, now)
+			cc.releaseTxn(t)
 			issued = true
 			continue
 		}
@@ -534,7 +598,7 @@ func (cc *chanCtl) faultRetry(t *txn, iss dram.Issue) bool {
 		}
 	}
 	cc.ctl.retryingTxns++
-	cc.ctl.sim.ScheduleArgAt(at+backoff, faultRequeueEv, t)
+	cc.at(at+backoff, faultRequeueEv, t)
 	return true
 }
 
@@ -551,11 +615,12 @@ func faultRequeueEv(a any, when sim.Tick) {
 		}
 	}
 	if t.kind == txnWrite {
-		cc.writeQ = append(cc.writeQ, t)
+		cc.push(&cc.writeQ, t)
 	} else {
-		cc.readQ = append(cc.readQ, t)
+		cc.push(&cc.readQ, t)
 	}
 	cc.pass()
+	cc.releaseTxn(t) // the backoff event's reference
 }
 
 // issue commits one transaction's device operation and wires its

@@ -70,13 +70,14 @@ func (cc *chanCtl) recordTag(t *txn, at sim.Tick) {
 	if t.kind != txnRead {
 		return
 	}
-	cc.ctl.sim.ScheduleArgAt(at, recordTagEv, t)
+	cc.at(at, recordTagEv, t)
 }
 
 // recordTagEv samples a tag-check latency at its arrival time.
 func recordTagEv(a any, when sim.Tick) {
 	t := a.(*txn)
 	t.cc.ctl.sampleTagCheck(when - t.arrive)
+	t.cc.releaseTxn(t)
 }
 
 // meterColRead accounts one column read moving bytes to the controller.
@@ -123,7 +124,7 @@ func (cc *chanCtl) issueRead(t *txn, iss dram.Issue) {
 			cc.meterColRead()
 			tr.VictimBytes += 64
 			tr.OverheadBytes += sp.readBytes - 64
-			cc.ctl.sim.ScheduleArgAt(iss.DataEnd, probedVictimEv, t)
+			cc.at(iss.DataEnd, probedVictimEv, t)
 		default:
 			panic("dramcache: unexpected pre-known read outcome " + t.outcome.String())
 		}
@@ -188,7 +189,7 @@ func (cc *chanCtl) issueRead(t *txn, iss dram.Issue) {
 		tr.VictimBytes += 64
 		tr.OverheadBytes += sp.readBytes - 64
 		cc.ctl.markInflight(t.line)
-		cc.ctl.sim.ScheduleArgAt(iss.DataEnd, writebackVictimEv, t)
+		cc.at(iss.DataEnd, writebackVictimEv, t)
 		cc.resolveMissRead(t, tagAt, true)
 	}
 }
@@ -221,11 +222,11 @@ func (cc *chanCtl) resolveMissRead(t *txn, tagAt sim.Tick, fill bool) {
 	if t.predStarted {
 		// §V-D: the predictor already launched the fetch; the demand
 		// finishes when both the tag result and the data are in.
-		cc.ctl.sim.ScheduleArgAt(tagAt, tagMissResultEv, t)
+		cc.at(tagAt, tagMissResultEv, t)
 		return
 	}
 	t.fill = fill
-	cc.ctl.sim.ScheduleArgAt(tagAt, missFetchEv, t)
+	cc.at(tagAt, missFetchEv, t)
 }
 
 // probedVictimEv finishes a probed miss-dirty's victim readout: the
@@ -239,6 +240,7 @@ func probedVictimEv(a any, _ sim.Tick) {
 	if t.mmArrived {
 		cc.ctl.dispatchFill(t.line)
 	}
+	cc.releaseTxn(t)
 }
 
 // writebackVictimEv queues a read-miss-dirty's victim once its data
@@ -246,6 +248,7 @@ func probedVictimEv(a any, _ sim.Tick) {
 func writebackVictimEv(a any, _ sim.Tick) {
 	t := a.(*txn)
 	t.cc.ctl.writeback(t.victim)
+	t.cc.releaseTxn(t)
 }
 
 // tagMissResultEv delivers a predicted-miss read's tag result (§V-D).
@@ -255,6 +258,7 @@ func tagMissResultEv(a any, _ sim.Tick) {
 	if t.predDataAt != 0 {
 		t.cc.finishPredictedMiss(t)
 	}
+	t.cc.releaseTxn(t)
 }
 
 // missFetchEv starts a read miss's backing fetch once the tag result is
@@ -262,12 +266,14 @@ func tagMissResultEv(a any, _ sim.Tick) {
 func missFetchEv(a any, _ sim.Tick) {
 	t := a.(*txn)
 	t.cc.ctl.missFetch(t)
+	t.cc.releaseTxn(t)
 }
 
 // predictorDataEv records the arrival of a predicted-miss prefetch.
 func predictorDataEv(a any, _ sim.Tick) {
 	t := a.(*txn)
 	t.cc.predictorData(t)
+	t.cc.releaseTxn(t)
 }
 
 // predictorData records the arrival of a predicted-miss prefetch.
@@ -293,17 +299,15 @@ func (cc *chanCtl) finishPredictedMiss(t *txn) {
 
 // completeReadAt finishes t's demand read at the given time.
 func (cc *chanCtl) completeReadAt(t *txn, at sim.Tick) {
-	cc.ctl.sim.ScheduleArgAt(at, completeReadEv, t)
+	cc.at(at, completeReadEv, t)
 }
 
 // completeReadEv responds to a demand read at its data-arrival time.
 func completeReadEv(a any, when sim.Tick) {
 	t := a.(*txn)
-	c := t.cc.ctl
-	c.sampleReadLatency(when - t.req.Arrive)
-	c.finishJourney(t.req, when)
-	t.req.Complete()
-	c.retryUpstream()
+	t.cc.ctl.answer(t, when)
+	t.cc.ctl.retryUpstream()
+	t.cc.releaseTxn(t)
 }
 
 // issueWriteTagRead handles the CL-family tag-check read for a write.
@@ -336,11 +340,11 @@ func (cc *chanCtl) issueWriteTagRead(t *txn, iss dram.Issue) {
 	}
 	tr.OverheadBytes += sp.readBytes - 64
 	cc.recordTag(t, iss.DataEnd)
-	w := &txn{
-		cc: cc, kind: txnWrite, req: t.req, line: t.line, bank: t.bank, row: t.row, arrive: cc.now(),
-		outcomeKnown: true, outcome: outcome, victim: victim,
-	}
-	cc.ctl.sim.ScheduleArgAt(iss.DataEnd, writeTagDoneEv, w)
+	// The data write carries the request on; the tag read is done.
+	w := cc.getTxn(txnWrite, t.req, t.line, t.bank)
+	w.outcomeKnown, w.outcome, w.victim = true, outcome, victim
+	t.req = nil
+	cc.at(iss.DataEnd, writeTagDoneEv, w)
 }
 
 // writeTagDoneEv acts on a CL-family write's tag-read result at data
@@ -353,15 +357,18 @@ func writeTagDoneEv(a any, _ sim.Tick) {
 		cc.ctl.writeback(w.victim)
 	}
 	cc.enqueueWriteTxn(w)
+	cc.releaseTxn(w)
 }
 
-// enqueueWriteTxn adds a data write, overflowing if the queue is full.
+// enqueueWriteTxn adds a data write or fill, overflowing if the queue is
+// full.
 func (cc *chanCtl) enqueueWriteTxn(w *txn) {
 	if len(cc.writeQ) >= WriteQueueDepth {
-		cc.overflow = append(cc.overflow, w)
+		w.refs++ // the overflow slot's reference
+		cc.overflow.Push(w)
 		return
 	}
-	cc.writeQ = append(cc.writeQ, w)
+	cc.push(&cc.writeQ, w)
 	cc.pass()
 }
 
@@ -399,9 +406,11 @@ func (cc *chanCtl) issueWrite(t *txn, iss dram.Issue) {
 			j.Span(mem.PhaseQueueWait, iss.At-t.arrive)
 			j.Span(mem.PhaseDQBurst, iss.DataEnd-iss.DataStart)
 		}
-	}
-	if r := t.req; r != nil {
 		cc.ctl.finishJourney(r, iss.DataEnd)
+		// The posted write completed at intake; the issued data write
+		// was its last reference.
+		t.req = nil
+		r.Release()
 	}
 }
 
@@ -422,7 +431,7 @@ func (cc *chanCtl) issueVictimRead(t *txn, iss dram.Issue) {
 	cc.meterColRead()
 	cc.st().Traffic.VictimBytes += 64
 	cc.st().Traffic.OverheadBytes += cc.spec().readBytes - 64
-	cc.ctl.sim.ScheduleArgAt(iss.DataEnd, victimReadDoneEv, t)
+	cc.at(iss.DataEnd, victimReadDoneEv, t)
 }
 
 // victimReadDoneEv completes an Ideal-design victim read: the line heads
@@ -433,6 +442,7 @@ func victimReadDoneEv(a any, _ sim.Tick) {
 	cc.ctl.writeback(t.line)
 	t.done = true
 	cc.pass()
+	cc.releaseTxn(t)
 }
 
 // dispatchFill enqueues the fill write for a line on its home channel.
@@ -492,7 +502,7 @@ func (cc *chanCtl) tryProbe(now sim.Tick) bool {
 			j.Span(mem.PhaseHMBus, hmAt-iss.TagInt)
 		}
 	}
-	cc.ctl.sim.ScheduleArgAt(hmAt, probeResultEv, pick)
+	cc.at(hmAt, probeResultEv, pick)
 	return true
 }
 
@@ -500,6 +510,7 @@ func (cc *chanCtl) tryProbe(now sim.Tick) bool {
 func probeResultEv(a any, when sim.Tick) {
 	t := a.(*txn)
 	t.cc.probeResult(t, when)
+	t.cc.releaseTxn(t)
 }
 
 // probeResult acts on a probe's HM-bus result.
@@ -523,6 +534,7 @@ func (cc *chanCtl) probeResult(t *txn, at sim.Tick) {
 		cc.remove(&cc.readQ, t)
 		t.fill = true
 		cc.ctl.missFetch(t)
+		cc.releaseTxn(t) // the read queue slot's reference
 		cc.pass()
 	case mem.ReadMissDirty:
 		// Start the backing fetch now; the MAIN access still must read
@@ -538,6 +550,7 @@ func (cc *chanCtl) probeResult(t *txn, at sim.Tick) {
 		cc.ctl.mmMeter.Acts++
 		cc.ctl.mmMeter.Cols++
 		cc.ctl.mmMeter.Bytes += 64
+		t.refs++ // the fetch holds t until probeMissDataEv
 		if !cc.ctl.mm.ReadArg(t.line, probeMissDataEv, t) {
 			cc.ctl.parkMMRead(pendingMM{line: t.line, fn: probeMissDataEv, arg: t})
 		}
@@ -552,26 +565,26 @@ func probeMissDataEv(a any, _ sim.Tick) {
 	t := a.(*txn)
 	c := t.cc.ctl
 	now := c.sim.Now()
-	c.sampleReadLatency(now - t.req.Arrive)
 	if j := t.req.J; j != nil {
 		j.Exit(mem.PhaseMissFetch, now)
 	}
-	c.finishJourney(t.req, now)
-	t.req.Complete()
+	c.answer(t, now)
 	c.resolveInflight(t.line)
 	t.mmArrived = true
 	if t.victimDone {
 		c.dispatchFill(t.line)
 	}
 	c.retryUpstream()
+	t.cc.releaseTxn(t)
 }
 
 // pushFlush parks a dirty victim in the flush buffer.
 func (cc *chanCtl) pushFlush(victim uint64) {
-	cc.flush = append(cc.flush, flushEntry{line: victim})
-	cc.st().FlushOccupancy.Add(float64(len(cc.flush)))
-	if len(cc.flush) > cc.st().FlushMax {
-		cc.st().FlushMax = len(cc.flush)
+	cc.flush.Push(flushEntry{line: victim})
+	n := cc.flush.Len()
+	cc.st().FlushOccupancy.Add(float64(n))
+	if n > cc.st().FlushMax {
+		cc.st().FlushMax = n
 	}
 	cc.observeFlushFill()
 }
@@ -583,10 +596,10 @@ func (cc *chanCtl) pushFlush(victim uint64) {
 // charged to set retirement (the flush buffer is controller-edge SRAM,
 // not a tag mat).
 func (cc *chanCtl) popFlush() (line uint64, ok bool) {
-	e := &cc.flush[0]
+	e := cc.flush.Front()
 	if in := cc.ctl.fault; in != nil && in.FlushEntry() == fault.Detected {
 		if int(e.retries) >= in.RetryBudget() {
-			cc.flush = cc.flush[1:]
+			cc.flush.Pop()
 			in.NoteExhausted()
 			in.NoteVictimLost()
 			cc.ctl.observeFault("flush.lost")
@@ -597,15 +610,13 @@ func (cc *chanCtl) popFlush() (line uint64, ok bool) {
 		cc.ctl.observeFault("flush.retry")
 		return 0, false
 	}
-	line = e.line
-	cc.flush = cc.flush[1:]
-	return line, true
+	return cc.flush.Pop().line, true
 }
 
 // drainIdleSlot uses a read-miss-clean's unused DQ slot to move one
 // flush-buffer entry to the controller.
 func (cc *chanCtl) drainIdleSlot(at sim.Tick) {
-	if len(cc.flush) == 0 {
+	if cc.flush.Len() == 0 {
 		return
 	}
 	line, ok := cc.popFlush()
@@ -654,7 +665,7 @@ func writebackLineEv(a any, _ sim.Tick) {
 // refresh window, when banks are busy but the DQ bus is idle.
 func (cc *chanCtl) refreshDrain(start, end sim.Tick) {
 	slots := int((end - start) / cc.ch.Params().TBURST)
-	for i := 0; i < slots && len(cc.flush) > 0; i++ {
+	for i := 0; i < slots && cc.flush.Len() > 0; i++ {
 		line, ok := cc.popFlush()
 		if !ok {
 			continue // the slot is spent either way
@@ -675,17 +686,17 @@ func (cc *chanCtl) refreshDrain(start, end sim.Tick) {
 // rest (§III-D2).
 func (cc *chanCtl) needExplicitDrain() bool {
 	drain := cc.spec().drain
-	if drain == drainNone || len(cc.flush) == 0 {
+	if drain == drainNone || cc.flush.Len() == 0 {
 		return false
 	}
 	if cc.forceDrain {
 		return true
 	}
 	if drain == drainRES {
-		return len(cc.flush) >= cc.cfg().FlushEntries*3/4 ||
+		return cc.flush.Len() >= cc.cfg().FlushEntries*3/4 ||
 			(len(cc.readQ) == 0 && len(cc.writeQ) == 0)
 	}
-	return len(cc.flush) >= cc.cfg().FlushEntries
+	return cc.flush.Len() >= cc.cfg().FlushEntries
 }
 
 // tryExplicitDrain issues one explicit buffer-read command, paying the

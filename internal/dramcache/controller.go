@@ -12,6 +12,7 @@ import (
 	"tdram/internal/mem"
 	"tdram/internal/obs"
 	"tdram/internal/predict"
+	"tdram/internal/ring"
 	"tdram/internal/sim"
 	"tdram/internal/stats"
 )
@@ -135,9 +136,10 @@ type Controller struct {
 	inflight      map[uint64][]*mem.Request
 	conflictCount int
 
-	// wbQ holds dirty victims awaiting acceptance by the backing store.
-	wbQ        []uint64
-	mmReadWait []pendingMM
+	// wbQ holds dirty victims awaiting acceptance by the backing store;
+	// mmReadWait holds backing fetches parked behind a full read queue.
+	wbQ        ring.Ring[uint64]
+	mmReadWait ring.Ring[pendingMM]
 
 	// fault is the fault-injection hook; nil (the default) disables it.
 	fault *fault.Injector
@@ -214,7 +216,7 @@ func New(s *sim.Simulator, cfg Config, mm *backing.Memory) (*Controller, error) 
 	// Backpressured backing-store traffic rearms from the queues' free
 	// events instead of polling.
 	mm.OnReadFree = func() {
-		if len(c.mmReadWait) == 0 {
+		if c.mmReadWait.Len() == 0 {
 			return
 		}
 		c.stats.MMReadPumps++
@@ -224,7 +226,7 @@ func New(s *sim.Simulator, cfg Config, mm *backing.Memory) (*Controller, error) 
 		c.pumpMMReads()
 	}
 	mm.OnWriteFree = func() {
-		if len(c.wbQ) > 0 {
+		if c.wbQ.Len() > 0 {
 			c.pumpWritebacks()
 		}
 	}
@@ -589,6 +591,7 @@ func (c *Controller) enqueueNoCache(req *mem.Request) bool {
 	}
 	c.finishJourney(req, c.sim.Now())
 	req.Complete()
+	req.Release()
 	return true
 }
 
@@ -604,6 +607,7 @@ func (c *Controller) noCacheDone(a any, _ sim.Tick) {
 	}
 	c.finishJourney(req, now)
 	req.Complete()
+	req.Release()
 	c.retryUpstream()
 }
 
@@ -624,6 +628,7 @@ func (c *Controller) missFetch(t *txn) {
 	c.mmMeter.Acts++
 	c.mmMeter.Cols++
 	c.mmMeter.Bytes += 64
+	t.refs++ // the fetch holds t until missDataEv
 	if !c.mm.ReadArg(t.line, missDataEv, t) {
 		// Backing read queue full: park the fetch. The queue's free
 		// event (backing.Memory.OnReadFree) rearms the pump — one wakeup
@@ -636,14 +641,12 @@ func (c *Controller) missFetch(t *txn) {
 func missDataEv(a any, _ sim.Tick) {
 	t := a.(*txn)
 	c := t.cc.ctl
-	if t.req != nil {
+	if r := t.req; r != nil {
 		now := c.sim.Now()
-		c.sampleReadLatency(now - t.req.Arrive)
-		if j := t.req.J; j != nil {
+		if j := r.J; j != nil {
 			j.Exit(mem.PhaseMissFetch, now)
 		}
-		c.finishJourney(t.req, now)
-		t.req.Complete()
+		c.answer(t, now)
 	}
 	// Data is at the controller: conflict-buffer waiters are served
 	// from it directly.
@@ -652,10 +655,22 @@ func missDataEv(a any, _ sim.Tick) {
 		c.dispatchFill(t.line)
 	}
 	c.retryUpstream()
+	t.cc.releaseTxn(t)
+}
+
+// answer responds to t's demand read at now and hands the request back
+// to its owner: the transaction held its last reference.
+func (c *Controller) answer(t *txn, now sim.Tick) {
+	req := t.req
+	t.req = nil
+	c.sampleReadLatency(now - req.Arrive)
+	c.finishJourney(req, now)
+	req.CompleteGen(t.reqGen)
+	req.Release()
 }
 
 func (c *Controller) parkMMRead(p pendingMM) {
-	c.mmReadWait = append(c.mmReadWait, p)
+	c.mmReadWait.Push(p)
 	c.stats.MMReadWaits++
 	if c.obs != nil {
 		c.obs.Inc("cache.mmread.wait")
@@ -665,12 +680,12 @@ func (c *Controller) parkMMRead(p pendingMM) {
 // pumpMMReads re-offers parked backing reads in arrival order.
 // Head-of-line blocking is intentional: fetch order is preserved.
 func (c *Controller) pumpMMReads() {
-	for len(c.mmReadWait) > 0 {
-		p := c.mmReadWait[0]
+	for c.mmReadWait.Len() > 0 {
+		p := c.mmReadWait.Front()
 		if !c.mm.ReadArg(p.line, p.fn, p.arg) {
 			return
 		}
-		c.mmReadWait = c.mmReadWait[1:]
+		c.mmReadWait.Pop()
 	}
 }
 
@@ -703,23 +718,26 @@ func (c *Controller) resolveInflight(line uint64) {
 		} else if c.tags != nil {
 			c.tags.markDirty(line)
 		}
+		// The conflict buffer held the waiter's last reference (a write
+		// was completed, posted, at intake).
+		w.Release()
 	}
 }
 
 // writeback queues a dirty victim for the backing store.
 func (c *Controller) writeback(line uint64) {
-	c.wbQ = append(c.wbQ, line)
+	c.wbQ.Push(line)
 	c.pumpWritebacks()
 }
 
 // pumpWritebacks offers queued victims to the backing store; leftovers
 // wait for the write queue's free event (backing.Memory.OnWriteFree).
 func (c *Controller) pumpWritebacks() {
-	for len(c.wbQ) > 0 {
-		if !c.mm.Write(c.wbQ[0]) {
+	for c.wbQ.Len() > 0 {
+		if !c.mm.Write(*c.wbQ.Front()) {
 			return
 		}
-		c.wbQ = c.wbQ[1:]
+		c.wbQ.Pop()
 		c.stats.MMWrites++
 		c.stats.Traffic.MMWritebackBytes += 64
 		c.mmMeter.Acts++
@@ -829,7 +847,7 @@ func (c *Controller) bearObserve(line uint64, outcome mem.Outcome) {
 func (c *Controller) DrainResidual() {
 	for _, cc := range c.chans {
 		cc.forceDrain = true
-		if len(cc.flush) > 0 {
+		if cc.flush.Len() > 0 {
 			cc.pass()
 		}
 	}
@@ -837,9 +855,9 @@ func (c *Controller) DrainResidual() {
 
 // Pending reports outstanding internal work (tests and drain checks).
 func (c *Controller) Pending() int {
-	n := len(c.wbQ) + len(c.mmReadWait) + c.conflictCount + c.retryingTxns
+	n := c.wbQ.Len() + c.mmReadWait.Len() + c.conflictCount + c.retryingTxns
 	for _, cc := range c.chans {
-		n += len(cc.readQ) + len(cc.writeQ) + len(cc.overflow) + len(cc.flush)
+		n += len(cc.readQ) + len(cc.writeQ) + cc.overflow.Len() + cc.flush.Len()
 	}
 	return n
 }
@@ -849,22 +867,28 @@ func (c *Controller) Pending() int {
 func (c *Controller) DebugState() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "conflicts=%d wbq=%d mmwait=%d retrying=%d",
-		c.conflictCount, len(c.wbQ), len(c.mmReadWait), c.retryingTxns)
+		c.conflictCount, c.wbQ.Len(), c.mmReadWait.Len(), c.retryingTxns)
 	if c.tags != nil && len(c.tags.retired) > 0 {
 		fmt.Fprintf(&b, " retired-sets=%d", len(c.tags.retired))
 	}
 	now := c.sim.Now()
 	for i, cc := range c.chans {
 		oldest := sim.Tick(-1)
-		for _, q := range [][]*txn{cc.readQ, cc.writeQ, cc.overflow} {
-			for _, t := range q {
-				if age := now - t.arrive; age > oldest {
-					oldest = age
-				}
+		age := func(t *txn) {
+			if a := now - t.arrive; a > oldest {
+				oldest = a
 			}
 		}
+		for _, q := range [][]*txn{cc.readQ, cc.writeQ} {
+			for _, t := range q {
+				age(t)
+			}
+		}
+		for k := 0; k < cc.overflow.Len(); k++ {
+			age(*cc.overflow.At(k))
+		}
 		fmt.Fprintf(&b, "\n  ch%d: readq=%d writeq=%d overflow=%d flush=%d last-commit=%v",
-			i, len(cc.readQ), len(cc.writeQ), len(cc.overflow), len(cc.flush), cc.ch.LastCommit())
+			i, len(cc.readQ), len(cc.writeQ), cc.overflow.Len(), cc.flush.Len(), cc.ch.LastCommit())
 		if oldest >= 0 {
 			fmt.Fprintf(&b, " oldest-age=%v", oldest)
 		}

@@ -47,19 +47,19 @@ func (c *Controller) SetObserver(o *obs.Observer) {
 	o.Gauge("cache.writeq", func() float64 {
 		n := 0
 		for _, cc := range c.chans {
-			n += len(cc.writeQ) + len(cc.overflow)
+			n += len(cc.writeQ) + cc.overflow.Len()
 		}
 		return float64(n)
 	})
 	o.Gauge("cache.flush", func() float64 {
 		n := 0
 		for _, cc := range c.chans {
-			n += len(cc.flush)
+			n += cc.flush.Len()
 		}
 		return float64(n)
 	})
 	o.Gauge("cache.conflict", func() float64 { return float64(c.conflictCount) })
-	o.Gauge("cache.mmread_wait", func() float64 { return float64(len(c.mmReadWait)) })
+	o.Gauge("cache.mmread_wait", func() float64 { return float64(c.mmReadWait.Len()) })
 	// Rolling read-latency percentiles. The closures read c.stats (not a
 	// captured Stats pointer) so they survive the warmup ResetStats swap.
 	o.Gauge("cache.read_latency.p50", func() float64 { return c.stats.ReadLatencyHist.PercentileNS(0.50) })
@@ -103,8 +103,8 @@ func (cc *chanCtl) observeQueues() {
 	}
 	now := cc.now()
 	o.CounterInt(cc.trkReadQ, now, int64(len(cc.readQ)))
-	o.CounterInt(cc.trkWriteQ, now, int64(len(cc.writeQ)+len(cc.overflow)))
-	o.CounterInt(cc.trkFlush, now, int64(len(cc.flush)))
+	o.CounterInt(cc.trkWriteQ, now, int64(len(cc.writeQ)+cc.overflow.Len()))
+	o.CounterInt(cc.trkFlush, now, int64(cc.flush.Len()))
 }
 
 // observeOutcome records a tag-check result: a run-summary counter and
@@ -145,7 +145,7 @@ func (cc *chanCtl) observeFlushFill() {
 	if cc.trkEvents != 0 {
 		now := cc.now()
 		o.Instant(cc.trkEvents, "flush-fill", now)
-		o.CounterInt(cc.trkFlush, now, int64(len(cc.flush)))
+		o.CounterInt(cc.trkFlush, now, int64(cc.flush.Len()))
 	}
 }
 
@@ -170,6 +170,6 @@ func (cc *chanCtl) observeFlushDrain(mode string) {
 	if cc.trkEvents != 0 {
 		now := cc.now()
 		o.Instant(cc.trkEvents, "flush-drain "+mode, now)
-		o.CounterInt(cc.trkFlush, now, int64(len(cc.flush)))
+		o.CounterInt(cc.trkFlush, now, int64(cc.flush.Len()))
 	}
 }

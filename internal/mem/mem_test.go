@@ -27,6 +27,65 @@ func TestCompleteOnce(t *testing.T) {
 	r.Complete()
 }
 
+// TestCompleteStaleReferencePanics keeps Complete's double-completion
+// panic across recycling: once a pooled request is released and handed
+// out again, completing it through a reference from its previous life
+// must panic instead of completing the new demand.
+func TestCompleteStaleReferencePanics(t *testing.T) {
+	var p RequestPool
+	r := p.Get()
+	gen := r.Gen()
+	r.Complete()
+	r.Release()
+	if again := p.Get(); again != r || again.Gen() == gen || again.Completed() {
+		t.Fatalf("pool handed out %p gen %d completed=%v, want the released record %p in a fresh generation",
+			again, again.Gen(), again.Completed(), r)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("completing through a reference from the previous life did not panic")
+		}
+	}()
+	r.CompleteGen(gen)
+}
+
+// TestReleaseBeforeComplete covers a posted write whose transaction
+// issues inside its own Enqueue: the controller releases it before the
+// intake completes it, and the record returns to the pool only then.
+func TestReleaseBeforeComplete(t *testing.T) {
+	var p RequestPool
+	r := p.Get()
+	r.Kind = Write
+	r.Release()
+	if p.Get() == r {
+		t.Fatal("a released but uncompleted request was handed out again")
+	}
+	r.Complete()
+	if p.Get() != r {
+		t.Fatal("Complete did not return the released request to its pool")
+	}
+}
+
+// TestReleaseTwicePanics and the GC-owned case: a literal request has
+// no pool, so Release is a no-op however often it runs.
+func TestReleaseTwicePanics(t *testing.T) {
+	lit := &Request{}
+	lit.Complete()
+	lit.Release()
+	lit.Release()
+
+	var p RequestPool
+	r := p.Get()
+	r.Complete()
+	r.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second Release did not panic")
+		}
+	}()
+	r.Release()
+}
+
 func TestCompleteNilCallback(t *testing.T) {
 	r := &Request{}
 	r.Complete() // must not panic

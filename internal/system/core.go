@@ -3,6 +3,7 @@ package system
 import (
 	"tdram/internal/cache"
 	"tdram/internal/mem"
+	"tdram/internal/ring"
 	"tdram/internal/sim"
 	"tdram/internal/workload"
 )
@@ -26,8 +27,8 @@ type core struct {
 	misses      uint64
 
 	// Backpressure bookkeeping.
-	pendingWBs  []*mem.Request // writebacks rejected by the controller
-	pendingRead *mem.Request   // demand read rejected by the controller
+	pendingWBs  ring.Ring[*mem.Request] // writebacks rejected by the controller
+	pendingRead *mem.Request            // demand read rejected by the controller
 	waitRetry   bool
 	wakeQueued  bool
 	blocked     bool // at MaxOutstanding, waiting for a completion
@@ -37,6 +38,9 @@ type core struct {
 	// so issuing a demand read does not allocate a fresh closure.
 	onMiss func(*mem.Request)
 
+	// reqs recycles this core's demands: the controller releases each
+	// one back here once it holds no reference to it.
+	reqs  mem.RequestPool
 	reqID uint64
 }
 
@@ -52,18 +56,25 @@ func (c *core) beginPhase(n int) {
 // idle reports whether the core finished its phase with no loose ends.
 func (c *core) idle() bool {
 	return c.executed >= c.target && c.outstanding == 0 &&
-		len(c.pendingWBs) == 0 && c.pendingRead == nil
+		c.pendingWBs.Len() == 0 && c.pendingRead == nil
+}
+
+// newRequest takes a demand for line from the core's pool.
+func (c *core) newRequest(line uint64, kind mem.Kind) *mem.Request {
+	c.reqID++
+	req := c.reqs.Get()
+	req.ID, req.Addr, req.Kind, req.Core = c.reqID, line*mem.LineSize, kind, c.id
+	if o := c.sys.obs; o != nil {
+		req.J = o.StartJourney(c.id, line, kind == mem.Write)
+	}
+	return req
 }
 
 // emitWriteback receives dirty L2 victims from the hierarchy.
 func (c *core) emitWriteback(line uint64) {
-	c.reqID++
-	req := &mem.Request{ID: c.reqID, Addr: line * mem.LineSize, Kind: mem.Write, Core: c.id}
-	if o := c.sys.obs; o != nil {
-		req.J = o.StartJourney(c.id, line, true)
-	}
-	if len(c.pendingWBs) > 0 || !c.sys.ctl.Enqueue(req) {
-		c.pendingWBs = append(c.pendingWBs, req)
+	req := c.newRequest(line, mem.Write)
+	if c.pendingWBs.Len() > 0 || !c.sys.ctl.Enqueue(req) {
+		c.pendingWBs.Push(req)
 		c.waitRetry = true
 	}
 }
@@ -89,12 +100,12 @@ func coreTickEv(a any, _ sim.Tick) {
 // next.
 func (c *core) tick() {
 	// Drain rejected work first, in order.
-	for len(c.pendingWBs) > 0 {
-		if !c.sys.ctl.Enqueue(c.pendingWBs[0]) {
+	for c.pendingWBs.Len() > 0 {
+		if !c.sys.ctl.Enqueue(*c.pendingWBs.Front()) {
 			c.waitRetry = true
 			return
 		}
-		c.pendingWBs = c.pendingWBs[1:]
+		c.pendingWBs.Pop()
 	}
 	if c.pendingRead != nil {
 		if !c.sys.ctl.Enqueue(c.pendingRead) {
@@ -122,14 +133,8 @@ func (c *core) tick() {
 
 	if res.Missed {
 		c.misses++
-		c.reqID++
-		req := &mem.Request{
-			ID: c.reqID, Addr: res.MissLine * mem.LineSize, Kind: mem.Read, Core: c.id,
-			OnDone: c.onMiss,
-		}
-		if o := c.sys.obs; o != nil {
-			req.J = o.StartJourney(c.id, res.MissLine, false)
-		}
+		req := c.newRequest(res.MissLine, mem.Read)
+		req.OnDone = c.onMiss
 		if c.sys.ctl.Enqueue(req) {
 			c.outstanding++
 		} else {
