@@ -94,10 +94,10 @@ func ParseTick(s string) (Tick, error) {
 	return 0, fmt.Errorf("sim: duration %q needs a ps/ns/us/ms suffix", s)
 }
 
-// event is a scheduled callback, stored inline in the wheel's bucket
-// slabs. Every event is a (fn, arg) pair: the typed-argument Schedule
-// variants store the caller's prebound function and argument directly
-// (zero allocations for pointer args), while the classic closure-based
+// event is a scheduled callback, stored inline in the wheel's slab.
+// Every event is a (fn, arg) pair: the typed-argument Schedule variants
+// store the caller's prebound function and argument directly (zero
+// allocations for pointer args), while the classic closure-based
 // variants store the closure as arg behind a static dispatcher.
 // Insertion order within a tick IS the deterministic tie-break order, so
 // no per-event sequence number is stored.
@@ -105,7 +105,8 @@ type event struct {
 	when   Tick
 	fn     func(any, Tick)
 	arg    any
-	daemon bool // does not keep the simulation alive on its own
+	next   int32 // slab slot of the next event in its bucket or the freelist
+	daemon bool  // does not keep the simulation alive on its own
 }
 
 // runClosure dispatches a classic func() callback stored in arg. Func
@@ -209,18 +210,19 @@ func (s *Simulator) Step() bool {
 	if !ok {
 		return false
 	}
-	b := s.w.l0[i]
-	e := b[s.w.head]
-	s.w.head++
-	if s.w.head == len(b) {
-		// Bucket drained: clear references for the GC, keep the slab's
-		// capacity for reuse, and drop its occupancy bit.
-		clear(b)
-		s.w.l0[i] = b[:0]
-		s.w.head = 0
-		s.w.l0bits[i>>6] &^= 1 << uint(i&63)
+	w := &s.w
+	b := &w.l0[i]
+	n := b.head
+	e := w.slab[n]
+	if b.head = e.next; b.head == 0 {
+		// Bucket drained: drop its occupancy bit.
+		b.tail = 0
+		w.l0bits[i>>6] &^= 1 << uint(i&63)
 	}
-	s.w.count--
+	// Free the slot, clearing its references for the GC.
+	w.slab[n] = event{next: w.free}
+	w.free = n
+	w.count--
 	if !e.daemon {
 		s.nonDaemon--
 	}

@@ -6,8 +6,17 @@ import "math/bits"
 // wheel with a sorted overflow tier, replacing the original
 // container/heap priority queue. The heap cost O(log n) comparisons plus
 // an interface{} boxing allocation per Push/Pop; the wheel schedules and
-// fires in O(1) amortized with events stored inline in reusable bucket
-// slabs, so the steady-state schedule/fire path allocates nothing.
+// fires in O(1) amortized, so the steady-state schedule/fire path
+// allocates nothing.
+//
+// Storage: every queued wheel event sits in one per-simulator slab, and
+// each bucket is a FIFO list threaded through the slab by the events'
+// next indices (appends at the tail, fires from the head). Fired slots
+// go on the slab's freelist, so the slab grows only with the number of
+// events pending at once — a few hundred in a full-system run — instead
+// of every bucket keeping a slice as long as the most it ever held
+// (about 4 MB over the 5,120 buckets of a long run, and a growth
+// allocation per bucket in each fresh Simulator).
 //
 // Geometry:
 //
@@ -52,22 +61,66 @@ const (
 // l1Span is the total horizon the two wheel levels cover past l0base.
 const l1Span = Tick(l1Size) << l0Bits
 
-// wheel is the event store. Bucket slabs keep their capacity across
-// reuse (len is reset, elements cleared for the GC), so after warmup the
-// schedule path stops allocating.
+// slabMin is the slab's first size: enough for a short run's pending
+// events in one allocation.
+const slabMin = 64
+
+// bucket is a FIFO list of slab slots; 0 (the slab's sentinel slot)
+// terminates it, so the zero bucket is empty.
+type bucket struct{ head, tail int32 }
+
+// wheel is the event store.
 type wheel struct {
-	l0     [l0Size][]event
+	slab []event // queued wheel events; slab[0] is the nil sentinel
+	free int32   // freelist of slab slots, linked through next
+
+	l0     [l0Size]bucket
 	l0bits [l0Words]uint64
 	l0hint int // lowest level-0 bitmap word that can be non-zero
 
-	l1     [l1Size][]event
+	l1     [l1Size]bucket
 	l1bits [l1Words]uint64
 
 	overflow []event
 
 	l0base Tick // start of the level-0 window, l0Size-aligned
-	head   int  // consume offset into the front-most occupied l0 bucket
 	count  int  // total queued events
+}
+
+// store copies e into a free slab slot, doubling the slab when none is
+// left, and returns the slot.
+func (w *wheel) store(e event) int32 {
+	if w.free == 0 {
+		w.grow()
+	}
+	n := w.free
+	w.free = w.slab[n].next
+	e.next = 0
+	w.slab[n] = e
+	return n
+}
+
+// grow doubles the slab and threads the new slots onto the freelist.
+// Buckets hold indices, so moving the slab invalidates nothing.
+func (w *wheel) grow() {
+	old := len(w.slab)
+	slab := make([]event, max(slabMin, 2*old))
+	copy(slab, w.slab)
+	first := max(old, 1) // slot 0 stays the sentinel
+	for i := first; i < len(slab)-1; i++ {
+		slab[i].next = int32(i + 1)
+	}
+	w.slab, w.free = slab, int32(first)
+}
+
+// push appends slot n to bucket b.
+func (w *wheel) push(b *bucket, n int32) {
+	if b.head == 0 {
+		b.head = n
+	} else {
+		w.slab[b.tail].next = n
+	}
+	b.tail = n
 }
 
 // place routes one event into the wheel level (or overflow tier) its
@@ -84,14 +137,14 @@ func (s *Simulator) placeWheel(e event) {
 	switch {
 	case e.when < w.l0base+l0Size:
 		i := int(e.when - w.l0base)
-		w.l0[i] = append(w.l0[i], e)
+		w.push(&w.l0[i], w.store(e))
 		w.l0bits[i>>6] |= 1 << uint(i&63)
 		if i>>6 < w.l0hint {
 			w.l0hint = i >> 6
 		}
 	case e.when < w.l0base+l1Span:
 		i := int(e.when>>l0Bits) & l1Mask
-		w.l1[i] = append(w.l1[i], e)
+		w.push(&w.l1[i], w.store(e))
 		w.l1bits[i>>6] |= 1 << uint(i&63)
 	default:
 		// Sorted upper-bound insert: same-when events stay in scheduling
@@ -166,22 +219,25 @@ func (s *Simulator) advance() {
 }
 
 // cascade redistributes level-1 bucket i into level 0, advancing l0base
-// to that bucket's block. The scan is stable: same-tick events keep
-// their scheduling order in the target bucket.
+// to that bucket's block. The events stay in their slab slots and are
+// relinked in list order, so same-tick events keep their scheduling
+// order in the target bucket.
 func (s *Simulator) cascade(i int) {
 	w := &s.w
 	cur := int(w.l0base>>l0Bits) & l1Mask
 	d := (i - cur) & l1Mask
 	w.l0base = ((w.l0base >> l0Bits) + Tick(d)) << l0Bits
 	w.l0hint = 0
-	b := w.l1[i]
-	for _, e := range b {
+	for n := w.l1[i].head; n != 0; {
+		e := &w.slab[n]
+		next := e.next
+		e.next = 0
 		j := int(e.when & l0Mask)
-		w.l0[j] = append(w.l0[j], e)
+		w.push(&w.l0[j], n)
 		w.l0bits[j>>6] |= 1 << uint(j&63)
+		n = next
 	}
-	clear(b)
-	w.l1[i] = b[:0]
+	w.l1[i] = bucket{}
 	w.l1bits[i>>6] &^= 1 << uint(i&63)
 	s.drainOverflow()
 }
@@ -233,11 +289,12 @@ func (s *Simulator) peekNext() (Tick, bool) {
 		return s.w.l0base + Tick(i), true
 	}
 	if i, ok := s.scanL1(); ok {
-		b := s.w.l1[i]
-		min := b[0].when
-		for _, e := range b[1:] {
-			if e.when < min {
-				min = e.when
+		slab := s.w.slab
+		n := s.w.l1[i].head
+		min := slab[n].when
+		for n = slab[n].next; n != 0; n = slab[n].next {
+			if slab[n].when < min {
+				min = slab[n].when
 			}
 		}
 		return min, true
