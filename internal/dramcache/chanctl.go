@@ -187,14 +187,6 @@ func (cc *chanCtl) at(when sim.Tick, fn func(any, sim.Tick), t *txn) {
 	cc.ctl.sim.ScheduleArgAt(when, fn, t)
 }
 
-// carrier builds the queue-less transaction that carries an Ideal read
-// miss through its backing fetch.
-func (cc *chanCtl) carrier(req *mem.Request, line uint64, bank int) *txn {
-	t := cc.getTxn(txnRead, req, line, bank)
-	t.fill = true
-	return t
-}
-
 // acceptRead admits a demand read (design-specific intake).
 func (cc *chanCtl) acceptRead(req *mem.Request, bank int) bool {
 	line := req.Line()
@@ -246,14 +238,16 @@ func (cc *chanCtl) acceptReadIdeal(req *mem.Request, line uint64, bank int) bool
 		t.outcomeKnown, t.outcome = true, outcome
 		cc.push(&cc.readQ, t)
 		cc.pass()
-	case mem.ReadMissClean:
+	case mem.ReadMissClean, mem.ReadMissDirty:
+		// A queue-less transaction carries the miss through its fetch.
 		cc.ctl.markInflight(line)
-		cc.ctl.missFetch(cc.carrier(req, line, bank))
-	case mem.ReadMissDirty:
-		cc.ctl.markInflight(line)
-		cc.ctl.missFetch(cc.carrier(req, line, bank))
-		cc.push(&cc.readQ, cc.getTxn(txnVictimRead, nil, victim, cc.bankOf(victim)))
-		cc.pass()
+		t := cc.getTxn(txnRead, req, line, bank)
+		t.fill = true
+		cc.ctl.missFetch(t)
+		if outcome == mem.ReadMissDirty {
+			cc.push(&cc.readQ, cc.getTxn(txnVictimRead, nil, victim, cc.bankOf(victim)))
+			cc.pass()
+		}
 	}
 	return true
 }

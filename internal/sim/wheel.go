@@ -13,10 +13,8 @@ import "math/bits"
 // each bucket is a FIFO list threaded through the slab by the events'
 // next indices (appends at the tail, fires from the head). Fired slots
 // go on the slab's freelist, so the slab grows only with the number of
-// events pending at once — a few hundred in a full-system run — instead
-// of every bucket keeping a slice as long as the most it ever held
-// (about 4 MB over the 5,120 buckets of a long run, and a growth
-// allocation per bucket in each fresh Simulator).
+// events pending at once — about 140 in a long full-system run — not
+// with each of the 5,120 buckets' own peak occupancy.
 //
 // Geometry:
 //
