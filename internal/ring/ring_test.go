@@ -2,18 +2,20 @@ package ring
 
 import "testing"
 
-// TestFIFOAcrossWraparound pushes and pops against a slice model through
-// growth and many wraparounds of the storage.
+// TestFIFOAcrossWraparound pushes and pops against a slice model: a
+// growing phase (two pushes per pop), a hovering phase (one push per
+// pop, so the head wraps at a fixed capacity) and a drain.
 func TestFIFOAcrossWraparound(t *testing.T) {
 	var r Ring[int]
 	var model []int
 	next := 0
-	for step := 0; step < 2000; step++ {
-		// Grow for a while, then hover, then drain: every phase mixes
-		// pushes and pops so the head wraps at several capacities.
-		push := step%3 != 0 || step > 1500 && step%2 == 0
-		if step > 1700 {
-			push = false
+	for step := 0; step < 3000; step++ {
+		var push bool
+		switch {
+		case step < 1000:
+			push = step%3 != 0
+		case step < 2000:
+			push = step%2 == 0
 		}
 		if push {
 			r.Push(next)
@@ -33,6 +35,9 @@ func TestFIFOAcrossWraparound(t *testing.T) {
 				t.Fatalf("step %d: At(%d) = %d, want %d", step, i, got, want)
 			}
 		}
+	}
+	if r.Len() != 0 {
+		t.Fatalf("drain left %d elements", r.Len())
 	}
 }
 
