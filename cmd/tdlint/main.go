@@ -1,7 +1,6 @@
 // Command tdlint is the repository's static-analysis multichecker. It
 // enforces, mechanically, the invariants the simulator's results rest
-// on: allocation-free event scheduling in hot packages (schedcapture),
-// bit-identical output across runs (determinism), the nil-checked
+// on: bit-identical output across runs (determinism), the nil-checked
 // observe-hook pattern (hookguard), timing values flowing from named
 // parameters (tickconv), complete snapshot/fork copiers (copydrift),
 // pooled-record lifecycles (poollife), and the serving tier's lock
@@ -48,15 +47,13 @@ import (
 	"tdram/internal/analysis/hookguard"
 	"tdram/internal/analysis/locksafe"
 	"tdram/internal/analysis/poollife"
-	"tdram/internal/analysis/schedcapture"
 	"tdram/internal/analysis/tickconv"
 )
 
 // analyzers returns the full tdlint suite. main_test.go pins this
-// registry: exactly these seven, in this order.
+// registry: exactly these six, in this order.
 func analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		schedcapture.Analyzer,
 		determinism.Analyzer,
 		hookguard.Analyzer,
 		tickconv.Analyzer,

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// TestRegistry pins the multichecker's registry: exactly the seven
+// TestRegistry pins the multichecker's registry: exactly the six
 // domain analyzers, in a stable order, each documented and runnable.
 func TestRegistry(t *testing.T) {
-	want := []string{"schedcapture", "determinism", "hookguard", "tickconv", "copydrift", "poollife", "locksafe"}
+	want := []string{"determinism", "hookguard", "tickconv", "copydrift", "poollife", "locksafe"}
 	got := analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("analyzers() registered %d analyzers, want exactly %d", len(got), len(want))

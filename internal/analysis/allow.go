@@ -9,7 +9,7 @@ import (
 
 // The in-source escape hatch. A comment of the form
 //
-//	//tdlint:allow schedcapture — cold setup path, runs once per config
+//	//tdlint:allow poollife — the queue is the record's single owner
 //	//tdlint:allow determinism,hookguard — reason covering both
 //
 // suppresses findings from the named analyzers on the comment's own line

@@ -16,9 +16,8 @@
 //     line above it (see allow.go). Upstream has no equivalent; the
 //     simulator's invariants want documented exemptions, not silence.
 //   - Only non-test Go files are loaded and analyzed. The determinism,
-//     hot-path, and hook invariants tdlint enforces apply to the
-//     simulator proper; tests are free to use wall clocks, closures and
-//     unsorted maps.
+//     hook and pool invariants tdlint enforces apply to the simulator
+//     proper; tests are free to use wall clocks and unsorted maps.
 package analysis
 
 import (

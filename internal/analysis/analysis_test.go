@@ -13,7 +13,7 @@ func TestParseAllow(t *testing.T) {
 		names  []string
 		reason string
 	}{
-		{"tdlint:allow schedcapture — cold setup path", []string{"schedcapture"}, "cold setup path"},
+		{"tdlint:allow poollife — the queue is the single owner", []string{"poollife"}, "the queue is the single owner"},
 		{"tdlint:allow determinism,hookguard — covers both", []string{"determinism", "hookguard"}, "covers both"},
 		{"tdlint:allow tickconv -- ascii dashes work too", []string{"tickconv"}, "ascii dashes work too"},
 		{"tdlint:allow tickconv - single dash works", []string{"tickconv"}, "single dash works"},
@@ -44,7 +44,7 @@ var a = 1
 
 var b = 2 //tdlint:allow hookguard,tickconv — trailing directive
 
-//tdlint:allow schedcapture
+//tdlint:allow poollife
 var c = 3
 `
 
@@ -68,11 +68,11 @@ func TestAllowIndex(t *testing.T) {
 	check("determinism", 5, false) // two lines below: out of range
 	check("hookguard", 6, true)
 	check("tickconv", 6, true)
-	check("schedcapture", 6, false) // not named on that line
+	check("poollife", 6, false) // not named on that line
 
 	// The reason-less directive is rejected: recorded as malformed,
 	// suppressing nothing.
-	check("schedcapture", 9, false)
+	check("poollife", 9, false)
 	if len(ai.Malformed) != 1 {
 		t.Fatalf("got %d malformed directives, want 1", len(ai.Malformed))
 	}

@@ -69,25 +69,11 @@ func (m *Memory) Stats() *Stats { return &m.stats }
 // Device exposes the underlying DRAM device (for energy accounting).
 func (m *Memory) Device() *dram.Device { return m.dev }
 
-// runDone dispatches a classic func() completion stored in arg (the
-// convenience Read form). Func values are pointer-shaped, so this boxing
-// does not allocate.
-func runDone(a any, _ sim.Tick) { a.(func())() }
-
-// Read enqueues a read of one line; done fires when data arrives at the
-// controller. It reports false (and does nothing) when the target
-// channel's read queue is full — the caller must retry.
-func (m *Memory) Read(line uint64, done func()) bool {
-	if done == nil {
-		return m.ReadArg(line, nil, nil)
-	}
-	return m.ReadArg(line, runDone, done)
-}
-
-// ReadArg is Read with the kernel's typed-argument callback form:
-// fn(arg, when) fires when data arrives. The controllers' miss path uses
-// it with their transaction as arg so a backing fetch allocates no
-// completion closure.
+// ReadArg enqueues a read of one line; fn(arg, when) fires when data
+// arrives at the controller (nil fn: no completion). It reports false
+// (and does nothing) when the target channel's read queue is full — the
+// caller must retry. The controllers' miss path passes its transaction
+// as arg, so a backing fetch allocates no completion closure.
 func (m *Memory) ReadArg(line uint64, fn func(any, sim.Tick), arg any) bool {
 	co := m.dev.Coord(line)
 	c := m.chans[co.Channel]
@@ -236,12 +222,10 @@ func (c *channelCtl) schedule() {
 			// The queue just transitioned from full: wake the free-event
 			// subscriber on a fresh event so its re-offers cannot re-enter
 			// this scheduling loop.
-			cb := c.mem.OnWriteFree
-			if !r.write {
-				cb = c.mem.OnReadFree
-			}
-			if cb != nil {
-				c.mem.sim.Schedule(0, cb)
+			if r.write && c.mem.OnWriteFree != nil {
+				c.mem.sim.ScheduleArg(0, writeFreeEv, c.mem)
+			} else if !r.write && c.mem.OnReadFree != nil {
+				c.mem.sim.ScheduleArg(0, readFreeEv, c.mem)
 			}
 		}
 		op := dram.Op{Kind: dram.OpRead, Bank: r.bank, Row: r.row}
@@ -263,6 +247,20 @@ func (c *channelCtl) schedule() {
 			}
 		}
 		c.mem.putReq(r)
+	}
+}
+
+// readFreeEv and writeFreeEv deliver a queue's free event; schedule arms
+// them only while the matching hook is set.
+func readFreeEv(a any, _ sim.Tick) {
+	if m := a.(*Memory); m.OnReadFree != nil {
+		m.OnReadFree()
+	}
+}
+
+func writeFreeEv(a any, _ sim.Tick) {
+	if m := a.(*Memory); m.OnWriteFree != nil {
+		m.OnWriteFree()
 	}
 }
 

@@ -17,10 +17,22 @@ func newMem(t *testing.T) (*sim.Simulator, *Memory) {
 	return s, m
 }
 
+// runFunc runs the func() stored as an event's argument: tests pass
+// their closures through the typed-argument completion form.
+func runFunc(a any, _ sim.Tick) { a.(func())() }
+
+// read offers a read of line whose completion runs done (nil: none).
+func read(m *Memory, line uint64, done func()) bool {
+	if done == nil {
+		return m.ReadArg(line, nil, nil)
+	}
+	return m.ReadArg(line, runFunc, done)
+}
+
 func TestSingleReadLatency(t *testing.T) {
 	s, m := newMem(t)
 	var doneAt sim.Tick
-	if !m.Read(0, func() { doneAt = s.Now() }) {
+	if !read(m, 0, func() { doneAt = s.Now() }) {
 		t.Fatal("read rejected")
 	}
 	s.RunUntil(func() bool { return doneAt != 0 })
@@ -39,7 +51,7 @@ func TestReadsCompleteInOrderPerChannel(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		i := i
 		// Same channel (stride 2 lines keeps channel 0), distinct banks.
-		if !m.Read(uint64(i*2), func() { order = append(order, i) }) {
+		if !read(m, uint64(i*2), func() { order = append(order, i) }) {
 			t.Fatal("rejected")
 		}
 	}
@@ -58,7 +70,7 @@ func TestChannelsParallel(t *testing.T) {
 	s, m := newMem(t)
 	var times []sim.Tick
 	for i := 0; i < 2; i++ {
-		if !m.Read(uint64(i), func() { times = append(times, s.Now()) }) {
+		if !read(m, uint64(i), func() { times = append(times, s.Now()) }) {
 			t.Fatal("rejected")
 		}
 	}
@@ -72,7 +84,7 @@ func TestQueueFull(t *testing.T) {
 	_, m := newMem(t)
 	accepted := 0
 	for i := 0; i < QueueDepth*3; i++ {
-		if m.Read(uint64(i*2), nil) { // all to channel 0
+		if read(m, uint64(i*2), nil) { // all to channel 0
 			accepted++
 		}
 	}
@@ -118,7 +130,7 @@ func TestReadsPreferredOverWrites(t *testing.T) {
 		m.Write(uint64(i * 2))
 	}
 	var readDone sim.Tick
-	m.Read(100, func() { readDone = s.Now() }) // channel 0
+	read(m, 100, func() { readDone = s.Now() }) // channel 0
 	s.Run(0)
 	if readDone == 0 {
 		t.Fatal("read never completed")
@@ -133,7 +145,7 @@ func TestReadsPreferredOverWrites(t *testing.T) {
 func TestQueueingStats(t *testing.T) {
 	s, m := newMem(t)
 	for i := 0; i < 20; i++ {
-		m.Read(uint64(i*2), nil) // same channel: queueing builds up
+		read(m, uint64(i*2), nil) // same channel: queueing builds up
 	}
 	s.Run(0)
 	st := m.Stats()
@@ -160,11 +172,11 @@ func TestThroughputBound(t *testing.T) {
 	issued := 0
 	var pump func()
 	pump = func() {
-		for issued < 512 && m.Read(uint64(issued*2), func() { completed++; last = s.Now() }) {
+		for issued < 512 && read(m, uint64(issued*2), func() { completed++; last = s.Now() }) {
 			issued++
 		}
 		if issued < 512 {
-			s.Schedule(sim.NS(50), pump)
+			s.ScheduleArg(sim.NS(50), runFunc, pump)
 		}
 	}
 	pump()
@@ -189,7 +201,7 @@ func BenchmarkBackingReadStream(b *testing.B) {
 	}
 	done := 0
 	for i := 0; i < b.N; i++ {
-		for !m.Read(uint64(i), func() { done++ }) {
+		for !read(m, uint64(i), func() { done++ }) {
 			s.Step()
 		}
 	}

@@ -6,13 +6,13 @@ import "testing"
 // timing wheel against the seed heap kernel (refSim, kept in
 // kernel_equiv_test.go). Each benchmark primes the wheel first so slab
 // growth is out of the measured region — the acceptance numbers are the
-// steady state, where the typed-argument path allocates nothing.
+// steady state, where scheduling allocates nothing.
 
 func nopEv(any, Tick) {}
 
 // BenchmarkKernelScheduleFire is the controller pattern: a rolling window
-// of near-future events, scheduled with the typed-argument variant and
-// drained in batches.
+// of near-future events, scheduled with ScheduleArg and drained in
+// batches.
 func BenchmarkKernelScheduleFire(b *testing.B) {
 	s := New()
 	for i := 0; i < 4096; i++ {
@@ -25,33 +25,6 @@ func BenchmarkKernelScheduleFire(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.ScheduleArg(Tick(i%64), nopEv, nil)
-		if s.Pending() > 1024 {
-			for s.Pending() > 0 {
-				s.Step()
-			}
-		}
-	}
-	for s.Pending() > 0 {
-		s.Step()
-	}
-}
-
-// BenchmarkKernelScheduleFireClosure is the same churn through the
-// classic closure API (func values are pointer-shaped, so boxing them
-// into the event's arg slot still does not allocate).
-func BenchmarkKernelScheduleFireClosure(b *testing.B) {
-	s := New()
-	fn := func() {}
-	for i := 0; i < 4096; i++ {
-		s.Schedule(Tick(i%64), fn)
-	}
-	for s.Pending() > 0 {
-		s.Step()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Schedule(Tick(i%64), fn)
 		if s.Pending() > 1024 {
 			for s.Pending() > 0 {
 				s.Step()
@@ -140,7 +113,7 @@ func BenchmarkKernelHeapReference(b *testing.B) {
 	fn := func() {}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.schedule(Tick(i%64), fn, false, 0)
+		r.schedule(Tick(i%64), fn, false, false)
 		if len(r.events) > 1024 {
 			for r.step() {
 			}

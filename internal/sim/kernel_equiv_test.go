@@ -42,7 +42,7 @@ type refSim struct {
 	events refHeap
 }
 
-func (r *refSim) schedule(delay Tick, fn func(), daemon bool, variant int) {
+func (r *refSim) schedule(delay Tick, fn func(), daemon, absolute bool) {
 	r.seq++
 	heap.Push(&r.events, refEvent{when: r.tnow + delay, seq: r.seq, daemon: daemon, fn: fn})
 }
@@ -61,31 +61,24 @@ func (r *refSim) now() Tick { return r.tnow }
 
 // eqKernel abstracts the two kernels for the equivalence driver.
 type eqKernel interface {
-	schedule(delay Tick, fn func(), daemon bool, variant int)
+	schedule(delay Tick, fn func(), daemon, absolute bool)
 	step() bool
 	now() Tick
 }
 
-// wheelKernel adapts *Simulator, spreading the program across all the
-// schedule variants (closure and typed-argument, relative and absolute)
-// so their interleavings are covered too. Every variant must land in the
-// same total order.
+// wheelKernel adapts *Simulator, spreading the program across the three
+// schedule calls (relative, absolute and daemon) so their interleavings
+// are covered too. Every call must land in the same total order.
 type wheelKernel struct{ s *Simulator }
 
-func (w wheelKernel) schedule(delay Tick, fn func(), daemon bool, variant int) {
+func (w wheelKernel) schedule(delay Tick, fn func(), daemon, absolute bool) {
 	switch {
-	case daemon && variant%2 == 0:
-		w.s.ScheduleDaemon(delay, fn)
 	case daemon:
-		w.s.ScheduleDaemonArg(delay, runClosure, fn)
-	case variant == 0:
-		w.s.Schedule(delay, fn)
-	case variant == 1:
-		w.s.ScheduleAt(w.s.Now()+delay, fn)
-	case variant == 2:
-		w.s.ScheduleArg(delay, runClosure, fn)
+		w.s.ScheduleDaemonArg(delay, runFunc, fn)
+	case absolute:
+		w.s.ScheduleArgAt(w.s.Now()+delay, runFunc, fn)
 	default:
-		w.s.ScheduleArgAt(w.s.Now()+delay, runClosure, fn)
+		w.s.ScheduleArg(delay, runFunc, fn)
 	}
 }
 
@@ -123,7 +116,7 @@ func runKernelProgram(k eqKernel, seed int64) []string {
 			delay = l1Span + Tick(rng.Int63n(int64(3*l1Span))) // overflow tier
 		}
 		daemon := rng.Intn(8) == 0
-		variant := rng.Intn(4)
+		absolute := rng.Intn(2) == 0
 		k.schedule(delay, func() {
 			trace = append(trace, fmt.Sprintf("%d@%d", id, k.now()))
 			if depth < 3 {
@@ -131,7 +124,7 @@ func runKernelProgram(k eqKernel, seed int64) []string {
 					schedule(depth + 1)
 				}
 			}
-		}, daemon, variant)
+		}, daemon, absolute)
 	}
 	for i := 0; i < 48; i++ {
 		schedule(0)
@@ -171,7 +164,7 @@ func TestOverflowDrainsIntoWheel(t *testing.T) {
 	const n = 64
 	fired := 0
 	for i := 0; i < n; i++ {
-		s.Schedule(l1Span+Tick(i)*l1Span/8, func() { fired++ })
+		s.ScheduleArg(l1Span+Tick(i)*l1Span/8, runFunc, func() { fired++ })
 	}
 	if s.OverflowPending() == 0 {
 		t.Fatal("far-future events did not land in the overflow tier")
@@ -197,10 +190,10 @@ func TestOverflowDaemonBounded(t *testing.T) {
 	rearm = func() {
 		ticks++
 		if ticks < rounds {
-			s.ScheduleDaemon(3*l1Span, rearm)
+			s.ScheduleDaemonArg(3*l1Span, runFunc, rearm)
 		}
 	}
-	s.ScheduleDaemon(3*l1Span, rearm)
+	s.ScheduleDaemonArg(3*l1Span, runFunc, rearm)
 	peak := 0
 	for s.Step() {
 		if p := s.OverflowPending(); p > peak {

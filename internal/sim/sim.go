@@ -1,7 +1,6 @@
 // Package sim provides the discrete-event simulation kernel used by every
-// timing model in this repository: a picosecond tick clock, an event queue
-// with deterministic ordering, and interval-reservation timelines used to
-// model shared buses.
+// timing model in this repository: a picosecond tick clock and an event
+// queue with deterministic ordering.
 package sim
 
 import (
@@ -94,13 +93,11 @@ func ParseTick(s string) (Tick, error) {
 	return 0, fmt.Errorf("sim: duration %q needs a ps/ns/us/ms suffix", s)
 }
 
-// event is a scheduled callback, stored inline in the wheel's slab.
-// Every event is a (fn, arg) pair: the typed-argument Schedule variants
-// store the caller's prebound function and argument directly (zero
-// allocations for pointer args), while the classic closure-based
-// variants store the closure as arg behind a static dispatcher.
-// Insertion order within a tick IS the deterministic tie-break order, so
-// no per-event sequence number is stored.
+// event is a scheduled callback, stored inline in the wheel's slab: the
+// caller's prebound function and its argument, so scheduling allocates
+// nothing when the argument is pointer-shaped. Insertion order within a
+// tick IS the deterministic tie-break order, so no per-event sequence
+// number is stored.
 type event struct {
 	when   Tick
 	fn     func(any, Tick)
@@ -108,10 +105,6 @@ type event struct {
 	next   int32 // slab slot of the next event in its bucket or the freelist
 	daemon bool  // does not keep the simulation alive on its own
 }
-
-// runClosure dispatches a classic func() callback stored in arg. Func
-// values are pointer-shaped, so boxing one into arg does not allocate.
-func runClosure(a any, _ Tick) { a.(func())() }
 
 // Simulator owns the clock and the event queue. The zero value is ready to
 // use. Simulator is not safe for concurrent use; all models run on the
@@ -139,41 +132,12 @@ func (s *Simulator) Fired() uint64 { return s.fired }
 // Pending reports the number of events still queued.
 func (s *Simulator) Pending() int { return s.w.count }
 
-// Schedule runs fn after delay ticks. A zero delay runs fn after all
-// previously scheduled events at the current tick. Negative delays panic:
-// models that compute a start time in the past have a timing bug.
-func (s *Simulator) Schedule(delay Tick, fn func()) {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: schedule %v in the past at %v", delay, s.now))
-	}
-	s.nonDaemon++
-	s.place(event{when: s.now + delay, fn: runClosure, arg: fn})
-}
-
-// ScheduleAt runs fn at absolute time when (>= Now).
-func (s *Simulator) ScheduleAt(when Tick, fn func()) {
-	if when < s.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", when, s.now))
-	}
-	s.nonDaemon++
-	s.place(event{when: when, fn: runClosure, arg: fn})
-}
-
-// ScheduleDaemon runs fn after delay like Schedule, but the event does
-// not keep the simulation alive: Run and RunUntil stop once only daemon
-// events remain. Perpetual self-rescheduling activities — DRAM refresh —
-// use this so a simulation "drains" when real work finishes.
-func (s *Simulator) ScheduleDaemon(delay Tick, fn func()) {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: schedule %v in the past at %v", delay, s.now))
-	}
-	s.place(event{when: s.now + delay, fn: runClosure, arg: fn, daemon: true})
-}
-
-// ScheduleArg runs fn(arg, when) after delay ticks. Unlike Schedule with
-// a capturing closure, it allocates nothing when arg is pointer-shaped:
-// the controllers' per-request hot paths pass their transaction as arg
-// and a package-level function as fn.
+// ScheduleArg runs fn(arg, when) after delay ticks. A zero delay runs
+// it after all previously scheduled events at the current tick. Negative
+// delays panic: models that compute a start time in the past have a
+// timing bug. It allocates nothing when arg is pointer-shaped: the
+// controllers' per-request hot paths pass their transaction as arg and
+// a package-level function as fn.
 func (s *Simulator) ScheduleArg(delay Tick, fn func(any, Tick), arg any) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: schedule %v in the past at %v", delay, s.now))
@@ -192,10 +156,11 @@ func (s *Simulator) ScheduleArgAt(when Tick, fn func(any, Tick), arg any) {
 	s.place(event{when: when, fn: fn, arg: arg})
 }
 
-// ScheduleDaemonArg is ScheduleDaemon with the typed-argument callback
-// form — for perpetual activities (refresh, watchdog checks, samplers)
-// that would otherwise allocate a fresh method-value closure on every
-// self-reschedule.
+// ScheduleDaemonArg runs fn(arg, when) after delay like ScheduleArg, but
+// the event does not keep the simulation alive: Run and RunUntil stop
+// once only daemon events remain. Perpetual self-rescheduling activities
+// (refresh, watchdog checks, samplers) use it so a simulation drains
+// when real work finishes.
 func (s *Simulator) ScheduleDaemonArg(delay Tick, fn func(any, Tick), arg any) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: schedule %v in the past at %v", delay, s.now))

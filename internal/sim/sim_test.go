@@ -59,12 +59,16 @@ func TestNSNegativePanics(t *testing.T) {
 	NS(-1)
 }
 
+// runFunc runs the func() stored as an event's argument: tests schedule
+// their closures through the one typed-argument API.
+func runFunc(a any, _ Tick) { a.(func())() }
+
 func TestScheduleOrdering(t *testing.T) {
 	s := New()
 	var got []int
-	s.Schedule(30, func() { got = append(got, 3) })
-	s.Schedule(10, func() { got = append(got, 1) })
-	s.Schedule(20, func() { got = append(got, 2) })
+	s.ScheduleArg(30, runFunc, func() { got = append(got, 3) })
+	s.ScheduleArg(10, runFunc, func() { got = append(got, 1) })
+	s.ScheduleArg(20, runFunc, func() { got = append(got, 2) })
 	s.Run(0)
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Errorf("execution order = %v", got)
@@ -79,7 +83,7 @@ func TestScheduleTieBreakFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.Schedule(5, func() { got = append(got, i) })
+		s.ScheduleArg(5, runFunc, func() { got = append(got, i) })
 	}
 	s.Run(0)
 	for i, v := range got {
@@ -92,9 +96,9 @@ func TestScheduleTieBreakFIFO(t *testing.T) {
 func TestScheduleFromEvent(t *testing.T) {
 	s := New()
 	var fired []Tick
-	s.Schedule(10, func() {
+	s.ScheduleArg(10, runFunc, func() {
 		fired = append(fired, s.Now())
-		s.Schedule(5, func() { fired = append(fired, s.Now()) })
+		s.ScheduleArg(5, runFunc, func() { fired = append(fired, s.Now()) })
 	})
 	s.Run(0)
 	if len(fired) != 2 || fired[0] != 10 || fired[1] != 15 {
@@ -104,21 +108,21 @@ func TestScheduleFromEvent(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	s := New()
-	s.Schedule(10, func() {})
+	s.ScheduleArg(10, runFunc, func() {})
 	s.Run(0)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("ScheduleAt in the past did not panic")
+			t.Fatal("ScheduleArgAt in the past did not panic")
 		}
 	}()
-	s.ScheduleAt(5, func() {})
+	s.ScheduleArgAt(5, runFunc, func() {})
 }
 
 func TestRunLimit(t *testing.T) {
 	s := New()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		s.Schedule(Tick(i)*100, func() { count++ })
+		s.ScheduleArg(Tick(i)*100, runFunc, func() { count++ })
 	}
 	s.Run(500)
 	if count != 5 {
@@ -137,7 +141,7 @@ func TestRunUntil(t *testing.T) {
 	s := New()
 	n := 0
 	for i := 1; i <= 5; i++ {
-		s.Schedule(Tick(i), func() { n++ })
+		s.ScheduleArg(Tick(i), runFunc, func() { n++ })
 	}
 	if !s.RunUntil(func() bool { return n >= 3 }) {
 		t.Fatal("RunUntil returned false before condition met")
@@ -156,11 +160,11 @@ func TestDaemonDoesNotKeepRunAlive(t *testing.T) {
 	var daemon func()
 	daemon = func() {
 		ticks++
-		s.ScheduleDaemon(10, daemon) // perpetual, like refresh
+		s.ScheduleDaemonArg(10, runFunc, daemon) // perpetual, like refresh
 	}
-	s.ScheduleDaemon(10, daemon)
+	s.ScheduleDaemonArg(10, runFunc, daemon)
 	fired := false
-	s.Schedule(35, func() { fired = true })
+	s.ScheduleArg(35, runFunc, func() { fired = true })
 	s.Run(0)
 	if !fired {
 		t.Fatal("regular event did not fire")
@@ -175,8 +179,8 @@ func TestDaemonDoesNotKeepRunAlive(t *testing.T) {
 func TestDaemonDoesNotKeepRunUntilAlive(t *testing.T) {
 	s := New()
 	var daemon func()
-	daemon = func() { s.ScheduleDaemon(10, daemon) }
-	s.ScheduleDaemon(10, daemon)
+	daemon = func() { s.ScheduleDaemonArg(10, runFunc, daemon) }
+	s.ScheduleDaemonArg(10, runFunc, daemon)
 	if s.RunUntil(func() bool { return false }) {
 		t.Fatal("RunUntil returned true")
 	}
@@ -186,8 +190,8 @@ func TestDaemonHonoredWithLimit(t *testing.T) {
 	s := New()
 	ticks := 0
 	var daemon func()
-	daemon = func() { ticks++; s.ScheduleDaemon(10, daemon) }
-	s.ScheduleDaemon(10, daemon)
+	daemon = func() { ticks++; s.ScheduleDaemonArg(10, runFunc, daemon) }
+	s.ScheduleDaemonArg(10, runFunc, daemon)
 	s.Run(45)
 	if ticks != 4 {
 		t.Errorf("daemon ticks under explicit limit = %d, want 4", ticks)
@@ -203,8 +207,8 @@ func TestStepEmpty(t *testing.T) {
 
 func TestFiredPending(t *testing.T) {
 	s := New()
-	s.Schedule(1, func() {})
-	s.Schedule(2, func() {})
+	s.ScheduleArg(1, runFunc, func() {})
+	s.ScheduleArg(2, runFunc, func() {})
 	if s.Pending() != 2 {
 		t.Errorf("Pending = %d", s.Pending())
 	}
@@ -221,7 +225,7 @@ func TestEventOrderProperty(t *testing.T) {
 		s := New()
 		var fired []Tick
 		for _, d := range delays {
-			s.Schedule(Tick(d), func() { fired = append(fired, s.Now()) })
+			s.ScheduleArg(Tick(d), runFunc, func() { fired = append(fired, s.Now()) })
 		}
 		s.Run(0)
 		return sort.SliceIsSorted(fired, func(i, j int) bool { return fired[i] < fired[j] })
@@ -391,7 +395,7 @@ func TestTimelineNoOverlapProperty(t *testing.T) {
 func BenchmarkEventQueue(b *testing.B) {
 	s := New()
 	for i := 0; i < b.N; i++ {
-		s.Schedule(Tick(i%64), func() {})
+		s.ScheduleArg(Tick(i%64), runFunc, func() {})
 		if s.Pending() > 1024 {
 			for s.Pending() > 0 {
 				s.Step()

@@ -38,8 +38,8 @@ func TestWatchdogWindowTrip(t *testing.T) {
 	// kernel's nonDaemon signal) and simulated time advances 1 ns at a
 	// time, but Progress is never called.
 	var spin func()
-	spin = func() { s.Schedule(Nanosecond, spin) }
-	s.Schedule(0, spin)
+	spin = func() { s.ScheduleArg(Nanosecond, runFunc, spin) }
+	s.ScheduleArg(0, runFunc, spin)
 	end := s.Run(Millisecond)
 	if !w.Tripped() {
 		t.Fatal("watchdog did not trip on a no-progress spin")
@@ -63,10 +63,10 @@ func TestWatchdogWindowHealthy(t *testing.T) {
 	spin = func() {
 		w.Progress()
 		if n++; n < 1000 {
-			s.Schedule(Nanosecond, spin)
+			s.ScheduleArg(Nanosecond, runFunc, spin)
 		}
 	}
-	s.Schedule(0, spin)
+	s.ScheduleArg(0, runFunc, spin)
 	s.Run(0)
 	if w.Tripped() {
 		t.Fatalf("watchdog tripped on a healthy run: %s", w.Report())
@@ -92,10 +92,10 @@ func TestWatchdogOutstanding(t *testing.T) {
 	var spin func()
 	spin = func() {
 		if n++; n < 200 {
-			s.Schedule(Nanosecond, spin)
+			s.ScheduleArg(Nanosecond, runFunc, spin)
 		}
 	}
-	s.Schedule(0, spin)
+	s.ScheduleArg(0, runFunc, spin)
 	s.Run(0)
 	if w.Tripped() {
 		t.Fatalf("watchdog tripped with zero outstanding: %s", w.Report())
@@ -110,8 +110,8 @@ func TestWatchdogEventBudget(t *testing.T) {
 	w := NewWatchdog(s, Millisecond)
 	w.SetEventBudget(1000)
 	var spin func()
-	spin = func() { s.Schedule(0, spin) }
-	s.Schedule(0, spin)
+	spin = func() { s.ScheduleArg(0, runFunc, spin) }
+	s.ScheduleArg(0, runFunc, spin)
 	s.Run(0)
 	if !w.Tripped() {
 		t.Fatal("event budget did not trip on a same-tick spin")
@@ -161,8 +161,8 @@ func TestWatchdogRunUntilAborts(t *testing.T) {
 	s := New()
 	w := NewWatchdog(s, 50*Nanosecond)
 	var spin func()
-	spin = func() { s.Schedule(Nanosecond, spin) }
-	s.Schedule(0, spin)
+	spin = func() { s.ScheduleArg(Nanosecond, runFunc, spin) }
+	s.ScheduleArg(0, runFunc, spin)
 	if s.RunUntil(func() bool { return false }) {
 		t.Fatal("RunUntil reported cond satisfied")
 	}
@@ -186,10 +186,10 @@ func TestWatchdogDeterminism(t *testing.T) {
 		spin = func() {
 			w.Progress()
 			if n++; n < 5000 {
-				s.Schedule(3*Nanosecond, spin)
+				s.ScheduleArg(3*Nanosecond, runFunc, spin)
 			}
 		}
-		s.Schedule(0, spin)
+		s.ScheduleArg(0, runFunc, spin)
 		end := s.Run(0)
 		// Subtract the daemon checks the armed run fires.
 		return end, uint64(n)
@@ -218,8 +218,8 @@ func TestWatchdogErrStructured(t *testing.T) {
 		t.Errorf("untripped Err() = %v", err)
 	}
 	var spin func()
-	spin = func() { s.Schedule(Nanosecond, spin) }
-	s.Schedule(0, spin)
+	spin = func() { s.ScheduleArg(Nanosecond, runFunc, spin) }
+	s.ScheduleArg(0, runFunc, spin)
 	s.Run(Millisecond)
 	if !w.Tripped() {
 		t.Fatal("spin did not trip the watchdog")
@@ -259,8 +259,8 @@ func TestWatchdogTripHandlerNoStderr(t *testing.T) {
 	handled := ""
 	w.SetOnTrip(func(reason string) { handled = reason })
 	var spin func()
-	spin = func() { s.Schedule(Nanosecond, spin) }
-	s.Schedule(0, spin)
+	spin = func() { s.ScheduleArg(Nanosecond, runFunc, spin) }
+	s.ScheduleArg(0, runFunc, spin)
 	s.Run(Millisecond)
 
 	pw.Close()

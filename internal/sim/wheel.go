@@ -42,8 +42,8 @@ import "math/bits"
 //     when-l0base and a level-1 index is (when>>l0Bits)&l1Mask.
 //   - Now() never lags l0base when user code runs: the window only
 //     advances inside Step, which immediately fires an event at or past
-//     the new base. Schedule therefore never sees a target before the
-//     window (ScheduleAt already panics for when < Now()).
+//     the new base. Scheduling therefore never sees a target before the
+//     window (ScheduleArgAt already panics for when < Now()).
 const (
 	l0Bits  = 12
 	l0Size  = 1 << l0Bits

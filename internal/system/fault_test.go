@@ -162,6 +162,9 @@ func TestWatchdogAbortsDrainedQueue(t *testing.T) {
 // livelock — a wedged core plus an event source that keeps simulated
 // time advancing without retiring anything — is caught by the window
 // check and aborted with a dump, rather than hanging the run.
+// runFunc runs the func() stored as an event's argument.
+func runFunc(a any, _ sim.Tick) { a.(func())() }
+
 func TestWatchdogAbortsLivelock(t *testing.T) {
 	cfg := smallConfig(t, dramcache.TDRAM, "ft.C")
 	cfg.RequestsPerCore = 200
@@ -173,8 +176,8 @@ func TestWatchdogAbortsLivelock(t *testing.T) {
 	}
 	sys.cores[0].outstanding = 1
 	var spin func()
-	spin = func() { sys.Simulator().Schedule(sim.Nanosecond, spin) }
-	sys.Simulator().Schedule(0, spin)
+	spin = func() { sys.Simulator().ScheduleArg(sim.Nanosecond, runFunc, spin) }
+	sys.Simulator().ScheduleArg(0, runFunc, spin)
 	_, err = sys.Run()
 	if err == nil {
 		t.Fatal("livelocked run reported success")
