@@ -6,7 +6,7 @@ import (
 	"tdram/internal/sim"
 )
 
-// Dir is a DQ transfer direction.
+// Dir is a bus transfer direction.
 type Dir uint8
 
 const (
@@ -21,33 +21,34 @@ func (d Dir) String() string {
 	return "rd"
 }
 
-// dqInterval is one reserved transfer on the data bus.
-type dqInterval struct {
+// busInterval is one reservation on a bus.
+type busInterval struct {
 	start, end sim.Tick
 	dir        Dir
 }
 
-// DQBus models the bidirectional data bus of one channel. Unlike a plain
-// Timeline it is direction-aware: a turnaround margin must separate
-// transfers of opposite direction. These turnaround bubbles are exactly
-// the cost the paper's flush buffer avoids on write-miss-dirty.
-type DQBus struct {
-	rtw, wtr sim.Tick // read->write and write->read margins
-	busy     []dqInterval
+// Bus models one serial bus of a channel: the command/address (CA) bus,
+// the bidirectional data (DQ) bus or TDRAM's one-way Hit-Miss (HM) bus.
+// Reservations may be made out of arrival order — a write's DQ interval
+// starts at a different fixed offset from its command than a read's — so
+// a single next-free cursor is not enough; Bus keeps the set of busy
+// intervals and answers first-fit queries.
+//
+// A turnaround margin separates transfers of opposite direction. On the
+// DQ bus these bubbles are exactly the cost the paper's flush buffer
+// avoids on write-miss-dirty; the CA and HM buses carry one direction
+// and have zero margins.
+//
+// Intervals are half-open: [start, start+dur).
+type Bus struct {
+	rtw, wtr sim.Tick      // read->write and write->read margins
+	busy     []busInterval // sorted by start, non-overlapping
 	prune    sim.Tick
-	// turnarounds counts direction switches committed, for stats.
-	turnarounds uint64
 }
-
-// NewDQBus returns a bus with the given turnaround margins.
-func NewDQBus(rtw, wtr sim.Tick) *DQBus { return &DQBus{rtw: rtw, wtr: wtr} }
-
-// Turnarounds reports how many direction switches have been reserved.
-func (b *DQBus) Turnarounds() uint64 { return b.turnarounds }
 
 // gapBefore returns the margin needed after an interval of direction
 // prev before one of direction next may start.
-func (b *DQBus) gapBefore(prev, next Dir) sim.Tick {
+func (b *Bus) gapBefore(prev, next Dir) sim.Tick {
 	if prev == next {
 		return 0
 	}
@@ -60,7 +61,7 @@ func (b *DQBus) gapBefore(prev, next Dir) sim.Tick {
 // FirstFree returns the earliest start >= earliest at which a transfer of
 // the given length and direction fits, honoring turnaround margins
 // against both neighbours.
-func (b *DQBus) FirstFree(earliest, dur sim.Tick, dir Dir) sim.Tick {
+func (b *Bus) FirstFree(earliest, dur sim.Tick, dir Dir) sim.Tick {
 	if dur <= 0 {
 		return earliest
 	}
@@ -98,52 +99,61 @@ func (b *DQBus) FirstFree(earliest, dur sim.Tick, dir Dir) sim.Tick {
 }
 
 // FreeAt reports whether a dir-transfer may occupy [start, start+dur).
-func (b *DQBus) FreeAt(start, dur sim.Tick, dir Dir) bool {
+func (b *Bus) FreeAt(start, dur sim.Tick, dir Dir) bool {
 	return b.FirstFree(start, dur, dir) == start
 }
 
-// Reserve commits the transfer. It panics on conflict, as Timeline does.
-func (b *DQBus) Reserve(start, dur sim.Tick, dir Dir) {
+// Reserve commits the transfer. It panics if the transfer conflicts with
+// an existing reservation: callers must query FirstFree/FreeAt first, and
+// a violation means a protocol model double-booked a bus.
+func (b *Bus) Reserve(start, dur sim.Tick, dir Dir) {
 	if dur <= 0 {
 		return
 	}
 	if !b.FreeAt(start, dur, dir) {
-		panic(fmt.Sprintf("dram: dq bus: conflicting %v reservation at %v+%v", dir, start, dur))
-	}
-	i := 0
-	for i < len(b.busy) && b.busy[i].start < start {
-		i++
-	}
-	if i > 0 && b.busy[i-1].dir != dir {
-		b.turnarounds++
-	}
-	if i < len(b.busy) && b.busy[i].dir != dir {
-		b.turnarounds++
+		panic(fmt.Sprintf("dram: bus: conflicting %v reservation at %v+%v", dir, start, dur))
 	}
 	end := start + dur
+	n := len(b.busy)
+	// Tail fast path: an append-at-end reservation (the common case once
+	// FirstFree picked the slot) extends or follows the last interval
+	// without the ordered-insert scan.
+	if n == 0 || start >= b.busy[n-1].end {
+		if n > 0 && b.busy[n-1].dir == dir && b.busy[n-1].end == start {
+			b.busy[n-1].end = end
+			return
+		}
+		b.busy = append(b.busy, busInterval{start, end, dir})
+		return
+	}
+	i := 0
+	for i < n && b.busy[i].start < start {
+		i++
+	}
 	// Merge with same-direction abutting neighbours so a saturated
 	// stream keeps the busy list short.
 	if i > 0 && b.busy[i-1].dir == dir && b.busy[i-1].end == start {
 		b.busy[i-1].end = end
-		if i < len(b.busy) && b.busy[i].dir == dir && b.busy[i].start == end {
+		if i < n && b.busy[i].dir == dir && b.busy[i].start == end {
 			b.busy[i-1].end = b.busy[i].end
 			b.busy = append(b.busy[:i], b.busy[i+1:]...)
 		}
 		return
 	}
-	if i < len(b.busy) && b.busy[i].dir == dir && b.busy[i].start == end {
+	if i < n && b.busy[i].dir == dir && b.busy[i].start == end {
 		b.busy[i].start = start
 		return
 	}
-	b.busy = append(b.busy, dqInterval{})
+	b.busy = append(b.busy, busInterval{})
 	copy(b.busy[i+1:], b.busy[i:])
-	b.busy[i] = dqInterval{start, end, dir}
+	b.busy[i] = busInterval{start, end, dir}
 }
 
 // Release drops bookkeeping for transfers ending at or before now, but
-// always keeps the most recent interval so turnaround margins against the
-// past remain enforced.
-func (b *DQBus) Release(now sim.Tick) {
+// always keeps the most recent of them so turnaround margins against the
+// past remain enforced. Channels call it on every commit so the busy
+// list stays short.
+func (b *Bus) Release(now sim.Tick) {
 	if now <= b.prune {
 		return
 	}
@@ -162,12 +172,4 @@ func (b *DQBus) Release(now sim.Tick) {
 }
 
 // Intervals reports tracked reservations (tests).
-func (b *DQBus) Intervals() int { return len(b.busy) }
-
-// BusyUntil reports the end of the latest reservation.
-func (b *DQBus) BusyUntil() sim.Tick {
-	if len(b.busy) == 0 {
-		return 0
-	}
-	return b.busy[len(b.busy)-1].end
-}
+func (b *Bus) Intervals() int { return len(b.busy) }

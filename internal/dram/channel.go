@@ -79,9 +79,9 @@ type Channel struct {
 	p     *Params
 	index int
 
-	ca *sim.Timeline
-	dq *DQBus
-	hm *sim.Timeline
+	// The three serial buses. CA carries commands to the device and HM
+	// tag results back, one direction each; only DQ turns around.
+	ca, dq, hm Bus
 
 	bankNext   []sim.Tick // earliest next ACT per data bank
 	tagNext    []sim.Tick // earliest next ACT per tag bank
@@ -127,9 +127,7 @@ func NewChannel(s *sim.Simulator, p *Params, index int) *Channel {
 		sim:        s,
 		p:          p,
 		index:      index,
-		ca:         sim.NewTimeline(fmt.Sprintf("%s.ca%d", p.Name, index)),
-		dq:         NewDQBus(p.TRTW, p.TWTR),
-		hm:         sim.NewTimeline(fmt.Sprintf("%s.hm%d", p.Name, index)),
+		dq:         Bus{rtw: p.TRTW, wtr: p.TWTR},
 		bankNext:   make([]sim.Tick, p.Banks),
 		tagNext:    make([]sim.Tick, p.Banks),
 		lastAct:    distantPast,
@@ -149,9 +147,6 @@ func (c *Channel) Params() *Params { return c.p }
 
 // Stats returns a copy of the activity counters.
 func (c *Channel) Stats() ChannelStats { return c.stats }
-
-// DQ exposes the data bus (for idle-slot inspection by controllers).
-func (c *Channel) DQ() *DQBus { return c.dq }
 
 // LastCommit reports the time of the most recent committed command
 // (watchdog diagnostics: a stale value pinpoints a silent channel).
@@ -268,7 +263,7 @@ func (c *Channel) Earliest(op Op, after sim.Tick) sim.Tick {
 		}
 		start := t
 		// CA slot.
-		if at := c.ca.FirstFree(t, c.p.TCMD); at > t {
+		if at := c.ca.FirstFree(t, c.p.TCMD, DirWrite); at > t {
 			t = at
 		}
 		// DQ slot at fixed offset.
@@ -280,7 +275,7 @@ func (c *Channel) Earliest(op Op, after sim.Tick) sim.Tick {
 		// HM slot.
 		if tag {
 			hmAt := t + tagOff
-			if s := c.hm.FirstFree(hmAt, c.p.THMBus); s > hmAt {
+			if s := c.hm.FirstFree(hmAt, c.p.THMBus, DirRead); s > hmAt {
 				t += s - hmAt
 			}
 		}
@@ -315,7 +310,7 @@ func (c *Channel) Commit(op Op, at sim.Tick) Issue {
 	}
 
 	iss := Issue{At: at}
-	c.ca.Reserve(at, c.p.TCMD)
+	c.ca.Reserve(at, c.p.TCMD, DirWrite)
 
 	burst := c.burst(op)
 	off, dir := c.dataOffset(op)
@@ -342,7 +337,7 @@ func (c *Channel) Commit(op Op, at sim.Tick) Issue {
 		c.lastTagAct = at
 		c.stats.TagActivates++
 		hmAt := at + c.p.TagInternalOffset()
-		c.hm.Reserve(hmAt, c.p.THMBus)
+		c.hm.Reserve(hmAt, c.p.THMBus, DirRead)
 		c.stats.HMTransfers++
 		c.stats.HMBusyTicks += uint64(c.p.THMBus)
 		iss.TagInt = hmAt

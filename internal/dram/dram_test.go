@@ -81,129 +81,6 @@ func TestBankOccupancies(t *testing.T) {
 	}
 }
 
-func TestDQBusSameDirection(t *testing.T) {
-	b := NewDQBus(sim.NS(3), sim.NS(3))
-	b.Reserve(100, 20, DirRead)
-	if got := b.FirstFree(100, 20, DirRead); got != 120 {
-		t.Errorf("back-to-back same dir = %v, want 120", got)
-	}
-	if b.Turnarounds() != 0 {
-		t.Errorf("turnarounds = %d", b.Turnarounds())
-	}
-}
-
-func TestDQBusTurnaround(t *testing.T) {
-	b := NewDQBus(sim.NS(3), sim.NS(3))
-	b.Reserve(100, 20, DirRead)
-	// A write after a read must leave the RTW margin.
-	if got := b.FirstFree(100, 20, DirWrite); got != 120+sim.NS(3) {
-		t.Errorf("write after read = %v, want 123ns-point", got)
-	}
-	b.Reserve(120+sim.NS(3), 20, DirWrite)
-	if b.Turnarounds() != 1 {
-		t.Errorf("turnarounds = %d", b.Turnarounds())
-	}
-	// A read after that write needs WTR (querying from inside the write's
-	// slot; the gap before the first read is legitimately free).
-	want := 120 + sim.NS(3) + 20 + sim.NS(3)
-	if got := b.FirstFree(120, 10, DirRead); got != want {
-		t.Errorf("read after write = %v, want %v", got, want)
-	}
-	if got := b.FirstFree(0, 10, DirRead); got != 0 {
-		t.Errorf("read in leading gap = %v, want 0", got)
-	}
-}
-
-func TestDQBusGapWithMargins(t *testing.T) {
-	b := NewDQBus(10, 10)
-	b.Reserve(0, 10, DirRead)
-	b.Reserve(100, 10, DirRead)
-	// A write between two reads needs margin on both sides: [20, 90].
-	if got := b.FirstFree(0, 70, DirWrite); got != 20 {
-		t.Errorf("write in gap = %v, want 20", got)
-	}
-	if got := b.FirstFree(0, 71, DirWrite); got <= 100 {
-		t.Errorf("oversized write placed at %v inside gap", got)
-	}
-}
-
-func TestDQBusConflictPanics(t *testing.T) {
-	b := NewDQBus(3, 3)
-	b.Reserve(0, 10, DirRead)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("conflicting reserve did not panic")
-		}
-	}()
-	b.Reserve(5, 10, DirRead)
-}
-
-func TestDQBusReleaseKeepsLast(t *testing.T) {
-	b := NewDQBus(10, 10)
-	b.Reserve(0, 10, DirRead)
-	b.Release(1000)
-	// The last interval must survive so turnaround vs. the past holds.
-	if got := b.FirstFree(0, 5, DirWrite); got != 20 {
-		t.Errorf("write after released read = %v, want 20 (margin kept)", got)
-	}
-}
-
-// Property: random direction-annotated first-fit reservations never
-// violate turnaround margins.
-func TestDQBusMarginProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		b := NewDQBus(5, 7)
-		type iv struct {
-			s, e sim.Tick
-			d    Dir
-		}
-		var placed []iv
-		for i := 0; i < 60; i++ {
-			dir := Dir(rng.Intn(2))
-			dur := sim.Tick(1 + rng.Intn(10))
-			at := b.FirstFree(sim.Tick(rng.Intn(300)), dur, dir)
-			b.Reserve(at, dur, dir)
-			placed = append(placed, iv{at, at + dur, dir})
-		}
-		for i := range placed {
-			for j := range placed {
-				if i == j {
-					continue
-				}
-				a, c := placed[i], placed[j]
-				if a.s >= c.e || c.s >= a.e {
-					// Disjoint: check margin when opposite direction and adjacent order a->c.
-					if a.e <= c.s && a.d != c.d {
-						margin := sim.Tick(5)
-						if a.d == DirWrite {
-							margin = 7
-						}
-						if c.s-a.e < margin && c.s-a.e >= 0 {
-							// Must not be violated... unless another interval sits between.
-							between := false
-							for k := range placed {
-								if k != i && k != j && placed[k].s >= a.e && placed[k].e <= c.s {
-									between = true
-								}
-							}
-							if !between {
-								return false
-							}
-						}
-					}
-					continue
-				}
-				return false // overlap
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
 func newTestChannel(t *testing.T) (*sim.Simulator, *Channel) {
 	t.Helper()
 	s := sim.New()

@@ -120,7 +120,7 @@ func (c *Channel) earliestOpen(op Op, after sim.Tick) sim.Tick {
 			}
 			off = c.p.TRP + c.p.TRCD + c.openColOffset(op)
 		}
-		if at := c.ca.FirstFree(t, c.p.TCMD); at > t {
+		if at := c.ca.FirstFree(t, c.p.TCMD, DirWrite); at > t {
 			t = at
 		}
 		if s := c.dq.FirstFree(t+off, burst, dir); s > t+off {
@@ -144,7 +144,7 @@ func (c *Channel) commitOpen(op Op, at sim.Tick) Issue {
 	}
 
 	iss := Issue{At: at}
-	c.ca.Reserve(at, c.p.TCMD)
+	c.ca.Reserve(at, c.p.TCMD, DirWrite)
 
 	var colAt sim.Tick // time of the column command's effect
 	switch cat {

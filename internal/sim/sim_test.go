@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -235,163 +234,6 @@ func TestEventOrderProperty(t *testing.T) {
 	}
 }
 
-func TestTimelineBasic(t *testing.T) {
-	tl := NewTimeline("dq")
-	if got := tl.FirstFree(100, 10); got != 100 {
-		t.Errorf("FirstFree on empty = %v", got)
-	}
-	tl.Reserve(100, 10)
-	if tl.FreeAt(105, 2) {
-		t.Error("overlap reported free")
-	}
-	if !tl.FreeAt(110, 5) {
-		t.Error("adjacent after reported busy")
-	}
-	if !tl.FreeAt(90, 10) {
-		t.Error("adjacent before reported busy")
-	}
-	if got := tl.FirstFree(100, 5); got != 110 {
-		t.Errorf("FirstFree during busy = %v, want 110", got)
-	}
-}
-
-func TestTimelineGapFit(t *testing.T) {
-	tl := NewTimeline("ca")
-	tl.Reserve(0, 10)
-	tl.Reserve(30, 10)
-	if got := tl.FirstFree(0, 20); got != 10 {
-		t.Errorf("gap fit = %v, want 10", got)
-	}
-	if got := tl.FirstFree(0, 21); got != 40 {
-		t.Errorf("too-large gap = %v, want 40", got)
-	}
-}
-
-func TestTimelineOutOfOrderReserve(t *testing.T) {
-	tl := NewTimeline("dq")
-	tl.Reserve(100, 10)
-	tl.Reserve(50, 10) // earlier than existing: the write-offset case
-	if got := tl.FirstFree(0, 100); got != 110 {
-		t.Errorf("FirstFree(0,100) = %v, want 110", got)
-	}
-	if got := tl.FirstFree(60, 40); got != 60 {
-		t.Errorf("FirstFree in gap = %v, want 60", got)
-	}
-}
-
-func TestTimelineOverlapPanics(t *testing.T) {
-	tl := NewTimeline("dq")
-	tl.Reserve(0, 10)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("overlapping Reserve did not panic")
-		}
-	}()
-	tl.Reserve(5, 10)
-}
-
-func TestTimelineRelease(t *testing.T) {
-	tl := NewTimeline("dq")
-	for i := 0; i < 100; i++ {
-		tl.Reserve(Tick(i*20), 10)
-	}
-	tl.Release(1000)
-	if tl.Intervals() >= 100 {
-		t.Errorf("Release did not prune: %d intervals", tl.Intervals())
-	}
-	// Reservations after the prune point are preserved.
-	if tl.FreeAt(1980, 10) {
-		t.Error("reservation after prune point lost")
-	}
-}
-
-func TestTimelineMerge(t *testing.T) {
-	tl := NewTimeline("dq")
-	tl.Reserve(0, 10)
-	tl.Reserve(10, 10)
-	tl.Reserve(20, 10)
-	if tl.Intervals() != 1 {
-		t.Errorf("abutting intervals not merged: %d", tl.Intervals())
-	}
-	if tl.BusyUntil() != 30 {
-		t.Errorf("BusyUntil = %v", tl.BusyUntil())
-	}
-}
-
-// TestTimelineBridgeMerge fills the gap between two intervals in one
-// Reserve, which must merge backward and forward in the same call.
-func TestTimelineBridgeMerge(t *testing.T) {
-	tl := NewTimeline("dq")
-	tl.Reserve(0, 10)
-	tl.Reserve(20, 10)
-	tl.Reserve(10, 10) // bridges both neighbours
-	if tl.Intervals() != 1 {
-		t.Errorf("bridge reserve left %d intervals, want 1", tl.Intervals())
-	}
-	if tl.BusyUntil() != 30 {
-		t.Errorf("BusyUntil = %v, want 30", tl.BusyUntil())
-	}
-	if got := tl.FirstFree(0, 1); got != 30 {
-		t.Errorf("FirstFree(0,1) = %v, want 30", got)
-	}
-}
-
-// TestTimelineReleaseMidInterval prunes with a cutoff falling inside a
-// reservation: the straddling interval must survive intact.
-func TestTimelineReleaseMidInterval(t *testing.T) {
-	tl := NewTimeline("dq")
-	tl.Reserve(0, 10)
-	tl.Reserve(20, 10)
-	tl.Reserve(40, 10)
-	tl.Release(25) // inside [20,30)
-	if tl.Intervals() != 2 {
-		t.Errorf("Release(25) left %d intervals, want 2", tl.Intervals())
-	}
-	if tl.FreeAt(20, 10) || tl.FreeAt(40, 10) {
-		t.Error("Release dropped a live reservation")
-	}
-	if !tl.FreeAt(10, 10) {
-		t.Error("pruned region still reported busy")
-	}
-	// Release is monotonic: a stale smaller cutoff is a no-op.
-	tl.Release(5)
-	if tl.Intervals() != 2 {
-		t.Errorf("stale Release changed state: %d intervals", tl.Intervals())
-	}
-}
-
-// Property: a randomized sequence of first-fit reservations never
-// overlaps, and FirstFree always returns a slot at or after the earliest
-// requested time.
-func TestTimelineNoOverlapProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tl := NewTimeline("p")
-		type iv struct{ s, e Tick }
-		var placed []iv
-		for i := 0; i < 100; i++ {
-			earliest := Tick(rng.Intn(500))
-			dur := Tick(1 + rng.Intn(20))
-			at := tl.FirstFree(earliest, dur)
-			if at < earliest {
-				return false
-			}
-			tl.Reserve(at, dur)
-			placed = append(placed, iv{at, at + dur})
-		}
-		sort.Slice(placed, func(i, j int) bool { return placed[i].s < placed[j].s })
-		for i := 1; i < len(placed); i++ {
-			if placed[i].s < placed[i-1].e {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
 func BenchmarkEventQueue(b *testing.B) {
 	s := New()
 	for i := 0; i < b.N; i++ {
@@ -403,40 +245,6 @@ func BenchmarkEventQueue(b *testing.B) {
 		}
 	}
 	s.Run(0)
-}
-
-// BenchmarkTimelineReserve is the forward-moving command-stream pattern
-// that the tail fast paths in FirstFree and Reserve serve: queries land
-// at or after the last busy interval, so neither scans.
-func BenchmarkTimelineReserve(b *testing.B) {
-	tl := NewTimeline("bench")
-	var now Tick
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		at := tl.FirstFree(now, 4)
-		tl.Reserve(at, 4)
-		now = at
-		if i%64 == 0 {
-			tl.Release(now)
-		}
-	}
-}
-
-// BenchmarkTimelineOutOfOrder alternates between two offset streams so
-// half the reservations take the ordered-insert slow path — the bound on
-// what the write-offset case costs.
-func BenchmarkTimelineOutOfOrder(b *testing.B) {
-	tl := NewTimeline("bench")
-	var now Tick
-	b.ReportAllocs()
-	for i := 0; i < b.N; i += 2 {
-		tl.Reserve(now+20, 4) // far slot first
-		tl.Reserve(now+8, 4)  // then the earlier one: ordered insert
-		now += 32
-		if i%64 == 0 {
-			tl.Release(now)
-		}
-	}
 }
 
 func TestParseTick(t *testing.T) {

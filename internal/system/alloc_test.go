@@ -27,8 +27,8 @@ const allocWindow = 10000
 //
 //	go test -run TestForkSteadyStateAllocs -memprofile mem.prof -memprofilerate=1 ./internal/system
 var allocPins = map[string]struct{ allocs, bytes uint64 }{
-	"is.D":   {1288, 7286680},
-	"bfs.22": {787, 7037352},
+	"is.D":   {1228, 7286888},
+	"bfs.22": {723, 7037480},
 }
 
 // allocBand and byteBand are the benchmark's bounds for allocs_per_op
