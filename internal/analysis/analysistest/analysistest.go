@@ -77,6 +77,71 @@ func Findings(t *testing.T, dir string, a *analysis.Analyzer, path string) []ana
 	return findings
 }
 
+// Mutate is the seeded-mutation harness: it proves an analyzer guards
+// real code. It copies the non-test Go sources of the real package in
+// dir (relative to the calling test) into a fixture package of the same
+// base name, checks that analyzer a finds nothing in the copy, replaces
+// the one occurrence of old in file with new, and returns a's findings
+// on the mutated copy. The fixture's imports of the module's packages
+// resolve through export data, so the copy type-checks as the real
+// package does.
+func Mutate(t *testing.T, a *analysis.Analyzer, dir, file, old, new string) []analysis.Finding {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The fixture root lives next to the caller's testdata/src so the go
+	// command still resolves export data from inside the module.
+	root, err := os.MkdirTemp(TestData(), "tmp-mutation-")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.RemoveAll(root) })
+	pkg := filepath.Base(dir)
+	dst := filepath.Join(root, "src", pkg)
+	if err := os.MkdirAll(dst, 0o777); err != nil {
+		t.Fatal(err)
+	}
+	var src string
+	for _, ent := range entries {
+		name := ent.Name()
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == file {
+			src = string(data)
+		}
+		if err := os.WriteFile(filepath.Join(dst, name), data, 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := strings.Count(src, old); n != 1 {
+		t.Fatalf("mutation target %q occurs %d times in %s/%s, want once", old, n, dir, file)
+	}
+	if fs := Findings(t, root, a, pkg); len(fs) != 0 {
+		t.Fatalf("the unmutated copy of %s is not clean:\n%s", dir, Render(fs))
+	}
+	mutated := strings.Replace(src, old, new, 1)
+	if err := os.WriteFile(filepath.Join(dst, file), []byte(mutated), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	return Findings(t, root, a, pkg)
+}
+
+// Render formats findings one per indented line, for test failures.
+func Render(fs []analysis.Finding) string {
+	var b strings.Builder
+	for _, f := range fs {
+		b.WriteString("  " + f.String() + "\n")
+	}
+	return b.String()
+}
+
 // TestData returns the canonical fixture root for the caller's package:
 // the testdata directory next to the test source.
 func TestData() string {

@@ -1,7 +1,6 @@
 package copydrift_test
 
 import (
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -30,76 +29,28 @@ func TestDirectiveHygiene(t *testing.T) {
 	}
 	for _, want := range wants {
 		if !hasFinding(findings, want) {
-			t.Errorf("missing diagnostic containing %q in:\n%s", want, render(findings))
+			t.Errorf("missing diagnostic containing %q in:\n%s", want, analysistest.Render(findings))
 		}
 	}
 	if len(findings) != len(wants) {
-		t.Errorf("got %d findings, want %d:\n%s", len(findings), len(wants), render(findings))
+		t.Errorf("got %d findings, want %d:\n%s", len(findings), len(wants), analysistest.Render(findings))
 	}
 }
 
-// TestSeededMutation proves the analyzer catches real drift: it copies
-// the real internal/cache sources (directives included) into a fixture,
-// then deletes the one line of Cache.Clone that deep-copies the tag
-// array — the copy every forked warmup image depends on — and asserts
-// the now-shared slice is reported.
+// TestSeededMutation proves the analyzer catches real drift: in a copy
+// of internal/cache (directives included) it deletes the one line of
+// Cache.Clone that deep-copies the tag array — the copy every forked
+// warmup image depends on — and asserts the now-shared slice is
+// reported.
 func TestSeededMutation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("copies and type-checks a real package")
 	}
-	const victim = "d.tags = append([]uint64(nil), c.tags...)"
-
-	// The fixture root lives next to testdata/src so the go command
-	// still resolves standard-library export data from inside the
-	// module.
-	root, err := os.MkdirTemp(analysistest.TestData(), "tmp-mutation-")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { os.RemoveAll(root) })
-	dst := filepath.Join(root, "src", "cache")
-	if err := os.MkdirAll(dst, 0o777); err != nil {
-		t.Fatal(err)
-	}
-
-	srcDir := filepath.Join("..", "..", "cache")
-	entries, err := os.ReadDir(srcDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mutated := false
-	for _, ent := range entries {
-		name := ent.Name()
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(srcDir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if name == "cache.go" {
-			lines := strings.Split(string(data), "\n")
-			kept := lines[:0]
-			for _, l := range lines {
-				if strings.Contains(l, victim) {
-					mutated = true
-					continue
-				}
-				kept = append(kept, l)
-			}
-			data = []byte(strings.Join(kept, "\n"))
-		}
-		if err := os.WriteFile(filepath.Join(dst, name), data, 0o666); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !mutated {
-		t.Fatalf("mutation target %q not found in internal/cache/cache.go", victim)
-	}
-
-	findings := analysistest.Findings(t, root, copydrift.Analyzer, "cache")
-	if !hasFinding(findings, "field Cache.tags is shallow-copied by Clone") {
-		t.Errorf("deleting %q went undetected; findings:\n%s", victim, render(findings))
+	const victim = "\td.tags = append([]uint64(nil), c.tags...)\n"
+	fs := analysistest.Mutate(t, copydrift.Analyzer, filepath.Join("..", "..", "cache"), "cache.go", victim, "")
+	if len(fs) != 1 || filepath.Base(fs[0].Pos.Filename) != "cache.go" ||
+		!strings.Contains(fs[0].Message, "field Cache.tags is shallow-copied by Clone") {
+		t.Errorf("deleting %q went undetected; findings:\n%s", victim, analysistest.Render(fs))
 	}
 }
 
@@ -110,12 +61,4 @@ func hasFinding(fs []analysis.Finding, substr string) bool {
 		}
 	}
 	return false
-}
-
-func render(fs []analysis.Finding) string {
-	var b strings.Builder
-	for _, f := range fs {
-		b.WriteString("  " + f.String() + "\n")
-	}
-	return b.String()
 }

@@ -140,7 +140,7 @@ func checkMapRange(pass *analysis.Pass, encl *ast.BlockStmt, rng *ast.RangeStmt)
 		return true
 	})
 	for _, pa := range appends {
-		if !sortedLater(pass.TypesInfo, encl, pa.target) {
+		if !sortedLater(pass.TypesInfo, encl, rng, pa.target) {
 			reportAppend(pass, pa.pos, pa.target.Name())
 		}
 	}
@@ -238,16 +238,18 @@ func sinkName(info *types.Info, call *ast.CallExpr) string {
 }
 
 // sortedLater reports whether v is passed (possibly nested in a
-// conversion or address-of) to any sort or slices function somewhere in
-// the enclosing function body — the sorted-keys idiom.
-func sortedLater(info *types.Info, encl *ast.BlockStmt, v *types.Var) bool {
+// conversion or address-of) to a sort or slices function positioned
+// after the range statement rng in the enclosing function body — the
+// sorted-keys idiom. A sort above the loop orders nothing the loop
+// appends.
+func sortedLater(info *types.Info, encl *ast.BlockStmt, rng *ast.RangeStmt, v *types.Var) bool {
 	found := false
 	ast.Inspect(encl, func(n ast.Node) bool {
 		if found {
 			return false
 		}
 		call, ok := n.(*ast.CallExpr)
-		if !ok {
+		if !ok || call.Pos() < rng.End() {
 			return true
 		}
 		fn := analysis.FuncOf(info, call.Fun)

@@ -44,6 +44,16 @@ func unsortedKeys(m map[string]int) []string {
 	return ks
 }
 
+// sortedTooEarly sorts before the loop, so the appended keys keep map
+// order: the sort must come after the range to count.
+func sortedTooEarly(m map[string]int, ks []string) []string {
+	sort.Strings(ks)
+	for k := range m {
+		ks = append(ks, k) // want `appending to ks while ranging over a map without sorting afterwards`
+	}
+	return ks
+}
+
 func dumpCSV(w *csv.Writer, m map[string]string) {
 	for k, v := range m {
 		w.Write([]string{k, v}) // want `map iteration feeds a csv\.Writer`

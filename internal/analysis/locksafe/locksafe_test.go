@@ -1,7 +1,6 @@
 package locksafe_test
 
 import (
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -15,61 +14,20 @@ func TestLockSafe(t *testing.T) {
 }
 
 // TestSeededMutation proves the analyzer catches a dropped lock in real
-// code: it copies internal/serve/drain.go (self-contained: one
-// mutex-guarded struct, stdlib imports only) into a fixture, strips the
-// d.mu.Lock() from note(), and asserts the now-unguarded field access
-// is reported.
+// code: in a copy of internal/serve it strips the lock from Job.setDone,
+// whose progress write races the status readers, and asserts the
+// now-unguarded field write is reported.
 func TestSeededMutation(t *testing.T) {
 	if testing.Short() {
-		t.Skip("copies and type-checks real source")
+		t.Skip("copies and type-checks a real package")
 	}
-	const victim = "d.mu.Lock()"
-
-	src, err := os.ReadFile(filepath.Join("..", "..", "serve", "drain.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(string(src), "\n")
-	kept := lines[:0]
-	mutated := false
-	for _, l := range lines {
-		if !mutated && strings.TrimSpace(l) == victim {
-			mutated = true
-			continue
-		}
-		kept = append(kept, l)
-	}
-	if !mutated {
-		t.Fatalf("mutation target %q not found in internal/serve/drain.go", victim)
-	}
-
-	// The fixture root lives next to testdata/src so the go command
-	// still resolves standard-library export data from inside the module.
-	root, err := os.MkdirTemp(analysistest.TestData(), "tmp-mutation-")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { os.RemoveAll(root) })
-	dst := filepath.Join(root, "src", "serve")
-	if err := os.MkdirAll(dst, 0o777); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dst, "drain.go"), []byte(strings.Join(kept, "\n")), 0o666); err != nil {
-		t.Fatal(err)
-	}
-
-	findings := analysistest.Findings(t, root, locksafe.Analyzer, "serve")
-	found := false
-	for _, f := range findings {
-		if strings.Contains(f.Message, "guarded by mu but accessed without holding it") {
-			found = true
-		}
-	}
-	if !found {
-		var b strings.Builder
-		for _, f := range findings {
-			b.WriteString("  " + f.String() + "\n")
-		}
-		t.Errorf("stripping %q from note() went undetected; findings:\n%s", victim, b.String())
+	const (
+		lock  = "\tj.mu.Lock()\n\tdefer j.mu.Unlock()\n"
+		write = "\tj.done = n\n"
+	)
+	fs := analysistest.Mutate(t, locksafe.Analyzer, filepath.Join("..", "..", "serve"), "job.go", lock+write, write)
+	if len(fs) != 1 || filepath.Base(fs[0].Pos.Filename) != "job.go" ||
+		!strings.Contains(fs[0].Message, "field Job.done is guarded by mu but accessed without holding it") {
+		t.Errorf("stripping the lock from setDone went undetected; findings:\n%s", analysistest.Render(fs))
 	}
 }
