@@ -19,11 +19,15 @@
 //     pool again ends the taint.
 //
 //   - Untagged escape: a pooled pointer stored into a field, a slice
-//     (append), an indexed element, or passed to a Schedule* call,
-//     when the record type carries no generation field (gen,
-//     generation, id, or seq). The stored reference can outlive the
-//     record's lease; a generation tag checked at use is the pooled
-//     idiom that makes such references safe (see dramcache's retryEv).
+//     (append), an indexed element or a composite-literal field, or
+//     passed where the callee's declared parameter is an interface or a
+//     type parameter (a scheduled event's argument, a generic queue's
+//     Push, a backing fetch's completion argument), when the record type
+//     carries no generation field (gen, generation, id, or seq). The
+//     stored reference can outlive the record's lease; a generation tag
+//     checked at use is the pooled idiom that makes such references safe
+//     (see dramcache's retryEv). A call whose parameter is the pooled
+//     pointer type itself is a use, not an escape.
 //
 // //tdlint:allow poollife documents the deliberate exceptions — e.g. a
 // record type whose single outstanding reference is the scheduled
@@ -44,7 +48,8 @@ var Analyzer = &analysis.Analyzer{
 		"A pooled type is a struct with an intrusive freelist link (next *T). After\n" +
 		"a record is released (put/free/release/recycle call, or assignment to a\n" +
 		"free/pool-named field) it must not be touched; pooled pointers stored into\n" +
-		"longer-lived structures or Schedule* calls need a generation field.",
+		"longer-lived structures, or passed as an interface or type-parameter\n" +
+		"argument, need a generation field.",
 	Run: run,
 }
 
@@ -258,8 +263,9 @@ func reassigns(pass *analysis.Pass, stmt ast.Stmt, v *types.Var) bool {
 }
 
 // checkEscapes flags pooled pointers stored into longer-lived
-// structures — fields, slice appends, indexed elements, Schedule*
-// calls — when the record type has no generation tag.
+// structures — fields, slice appends, indexed elements, composite
+// literals, interface and type-parameter arguments — when the record
+// type has no generation tag.
 func checkEscapes(pass *analysis.Pass, body *ast.BlockStmt) {
 	report := func(pos ast.Node, named *types.Named, how string) {
 		if genTagged(named) {
@@ -313,14 +319,81 @@ func checkEscapes(pass *analysis.Pass, body *ast.BlockStmt) {
 					return true
 				}
 			}
-			if fn := analysis.FuncOf(pass.TypesInfo, n.Fun); fn != nil && strings.HasPrefix(fn.Name(), "Schedule") {
-				for _, arg := range n.Args {
-					if named := pooledType(pass.TypesInfo.TypeOf(arg)); named != nil {
-						report(arg, named, "passed to "+fn.Name())
+			sig, name := declaredSignature(pass, n)
+			if sig == nil {
+				return true
+			}
+			for i, arg := range n.Args {
+				named := pooledType(pass.TypesInfo.TypeOf(arg))
+				if named == nil {
+					continue
+				}
+				switch paramType(sig, i).(type) {
+				case *types.Interface, *types.TypeParam:
+					report(arg, named, "passed to "+name)
+				}
+			}
+		case *ast.CompositeLit:
+			lit := pass.TypesInfo.TypeOf(n)
+			for _, elt := range n.Elts {
+				v, field := elt, ""
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					v = kv.Value
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						field = id.Name
 					}
+				}
+				named := pooledType(pass.TypesInfo.TypeOf(v))
+				if named == nil {
+					continue
+				}
+				// A record's own freelist link is the pool's plumbing.
+				if field == "next" && lit != nil && pooledType(types.NewPointer(lit)) != nil {
+					continue
+				}
+				if field != "" {
+					report(v, named, "placed in field "+field+" of a composite literal")
+				} else {
+					report(v, named, "placed in a composite literal")
 				}
 			}
 		}
 		return true
 	})
+}
+
+// declaredSignature returns the signature a call's arguments bind to as
+// declared — for an instantiated generic function or method, the
+// generic one, whose parameters are still type parameters — and the
+// callee's name. Conversions and builtins have none.
+func declaredSignature(pass *analysis.Pass, call *ast.CallExpr) (*types.Signature, string) {
+	if fn := analysis.FuncOf(pass.TypesInfo, call.Fun); fn != nil {
+		sig, _ := fn.Origin().Type().(*types.Signature)
+		return sig, fn.Name()
+	}
+	tv := pass.TypesInfo.Types[call.Fun]
+	if !tv.IsValue() {
+		return nil, "" // a conversion or a builtin
+	}
+	sig, _ := tv.Type.Underlying().(*types.Signature)
+	return sig, types.ExprString(call.Fun)
+}
+
+// paramType returns the declared type of the parameter argument i binds
+// to, unwrapping a variadic tail to its element type.
+func paramType(sig *types.Signature, i int) types.Type {
+	params := sig.Params()
+	if sig.Variadic() && i >= params.Len()-1 {
+		if s, ok := params.At(params.Len() - 1).Type().(*types.Slice); ok {
+			return s.Elem().Underlying()
+		}
+	}
+	if i >= params.Len() {
+		return nil
+	}
+	t := params.At(i).Type()
+	if _, ok := t.(*types.TypeParam); ok {
+		return t
+	}
+	return t.Underlying()
 }

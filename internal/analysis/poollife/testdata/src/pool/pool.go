@@ -7,6 +7,25 @@ type sched struct{}
 
 func (s *sched) ScheduleArgAt(at int, fn func(any), arg any) {}
 
+// queue stands in for ring.Ring: a generic FIFO whose Push takes a type
+// parameter.
+type queue[T any] struct{ items []T }
+
+func (q *queue[T]) Push(v T) { q.items = append(q.items, v) }
+
+// fetch stands in for backing.Memory.ReadArg: the completion argument is
+// an interface.
+func fetch(line int, arg any) {}
+
+func logAll(vs ...any) {}
+
+// pending stands in for dramcache's pendingMM: a parked fetch carrying
+// its completion argument.
+type pending struct {
+	line int
+	arg  any
+}
+
 // rec is a pooled record: the intrusive next link marks it.
 type rec struct {
 	val  int
@@ -39,6 +58,9 @@ type owner struct {
 	tq    []*taggedRec
 	slot  *rec
 	s     sched
+	rq    queue[*rec]
+	trq   queue[*taggedRec]
+	park  []pending
 }
 
 func (o *owner) get() *rec {
@@ -111,11 +133,44 @@ func (o *owner) schedule(r *rec) {
 	o.s.ScheduleArgAt(1, nil, r) // want `pooled \*rec passed to ScheduleArgAt without a generation tag`
 }
 
+func (o *owner) pushGeneric(r *rec) {
+	o.rq.Push(r) // want `pooled \*rec passed to Push without a generation tag`
+}
+
+func (o *owner) fetchInterface(r *rec) {
+	fetch(1, r)  // want `pooled \*rec passed to fetch without a generation tag`
+	logAll(1, r) // want `pooled \*rec passed to logAll without a generation tag`
+}
+
+func (o *owner) parkLiteral(r *rec) {
+	o.park = append(o.park, pending{line: 1, arg: r}) // want `pooled \*rec placed in field arg of a composite literal without a generation tag`
+	_ = []*rec{r}                                     // want `pooled \*rec placed in a composite literal without a generation tag`
+}
+
 // ---- passing: the same escapes with a generation-tagged record ----
 
 func (o *owner) scheduleTagged(r *taggedRec) {
 	o.tq = append(o.tq, r)
 	o.s.ScheduleArgAt(1, nil, r)
+	o.trq.Push(r)
+	fetch(1, r)
+	o.park = append(o.park, pending{arg: r})
+}
+
+// ---- passing: a parameter of the pooled type itself is a use ----
+
+func (o *owner) consume(r *rec) int { return r.val }
+
+func (o *owner) handOff(r *rec) int {
+	f := func(r *rec) int { return r.val }
+	return o.consume(r) + f(r)
+}
+
+// ---- passing: the freelist reset literal is the pool's plumbing ----
+
+func (o *owner) reset(r *rec) {
+	*r = rec{next: o.free}
+	o.free = r
 }
 
 // ---- passing: non-pooled types escape freely ----

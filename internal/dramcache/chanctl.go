@@ -208,6 +208,7 @@ func (cc *chanCtl) acceptRead(req *mem.Request, bank int) bool {
 			cc.ctl.mmMeter.Cols++
 			cc.ctl.mmMeter.Bytes += 64
 			t.refs++ // the fetch holds t until predictorDataEv
+			//tdlint:allow poollife — the fetch is a counted reference that predictorDataEv releases
 			cc.ctl.mm.ReadArg(line, predictorDataEv, t)
 			if j := req.J; j != nil {
 				j.Enter(mem.PhaseMissFetch, cc.now())

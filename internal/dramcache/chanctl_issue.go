@@ -365,6 +365,7 @@ func writeTagDoneEv(a any, _ sim.Tick) {
 func (cc *chanCtl) enqueueWriteTxn(w *txn) {
 	if len(cc.writeQ) >= WriteQueueDepth {
 		w.refs++ // the overflow slot's reference
+		//tdlint:allow poollife — the overflow slot is a counted reference that pass moves into the write queue
 		cc.overflow.Push(w)
 		return
 	}
@@ -551,7 +552,9 @@ func (cc *chanCtl) probeResult(t *txn, at sim.Tick) {
 		cc.ctl.mmMeter.Cols++
 		cc.ctl.mmMeter.Bytes += 64
 		t.refs++ // the fetch holds t until probeMissDataEv
+		//tdlint:allow poollife — the fetch is a counted reference that probeMissDataEv releases
 		if !cc.ctl.mm.ReadArg(t.line, probeMissDataEv, t) {
+			//tdlint:allow poollife — the parked fetch keeps the fetch's counted reference until the pump re-offers it
 			cc.ctl.parkMMRead(pendingMM{line: t.line, fn: probeMissDataEv, arg: t})
 		}
 		cc.pass()

@@ -629,10 +629,12 @@ func (c *Controller) missFetch(t *txn) {
 	c.mmMeter.Cols++
 	c.mmMeter.Bytes += 64
 	t.refs++ // the fetch holds t until missDataEv
+	//tdlint:allow poollife — the fetch is a counted reference that missDataEv releases
 	if !c.mm.ReadArg(t.line, missDataEv, t) {
 		// Backing read queue full: park the fetch. The queue's free
 		// event (backing.Memory.OnReadFree) rearms the pump — one wakeup
 		// per freed slot instead of a 20 ns polling loop.
+		//tdlint:allow poollife — the parked fetch keeps the fetch's counted reference until the pump re-offers it
 		c.parkMMRead(pendingMM{line: t.line, fn: missDataEv, arg: t})
 	}
 }
