@@ -253,7 +253,9 @@ func (cc *chanCtl) acceptReadIdeal(req *mem.Request, line uint64, bank int) bool
 	return true
 }
 
-// acceptWrite admits a (posted) demand write.
+// acceptWrite admits a (posted) demand write into the channel's queues.
+// The caller runs the scheduling pass once it has counted the demand:
+// the pass may issue the write's data write, which finishes its journey.
 func (cc *chanCtl) acceptWrite(req *mem.Request, bank int) bool {
 	line := req.Line()
 	switch cc.spec().tags {
@@ -263,7 +265,6 @@ func (cc *chanCtl) acceptWrite(req *mem.Request, bank int) bool {
 			return false
 		}
 		cc.push(&cc.writeQ, cc.getTxn(txnWrite, req, line, bank))
-		cc.pass()
 		return true
 	case tagsOracle:
 		if len(cc.writeQ) >= WriteQueueDepth {
@@ -287,7 +288,6 @@ func (cc *chanCtl) acceptWrite(req *mem.Request, bank int) bool {
 			cc.push(&cc.readQ, v)
 		}
 		cc.push(&cc.writeQ, w)
-		cc.pass()
 		return true
 	}
 	if cc.spec().dcp && cc.ctl.tags.probe(line).Hit {
@@ -304,7 +304,6 @@ func (cc *chanCtl) acceptWrite(req *mem.Request, bank int) bool {
 		w := cc.getTxn(txnWrite, req, line, bank)
 		w.outcomeKnown, w.outcome = true, outcome
 		cc.push(&cc.writeQ, w)
-		cc.pass()
 		return true
 	}
 	return cc.acceptWriteTagRead(req, line, bank)
@@ -317,7 +316,6 @@ func (cc *chanCtl) acceptWriteTagRead(req *mem.Request, line uint64, bank int) b
 	}
 	cc.st().WriteTagReads++
 	cc.push(&cc.readQ, cc.getTxn(txnWriteTagRead, req, line, bank))
-	cc.pass()
 	return true
 }
 

@@ -523,7 +523,10 @@ func (c *Controller) Enqueue(req *mem.Request) bool {
 		c.stats.QueueRejects++
 		return false
 	}
+	// Count the write, closing its core-queue phase, before the pass that
+	// may issue its data write and finish its journey.
 	c.countDemand(req)
+	cc.pass()
 	req.Complete() // posted write
 	return true
 }

@@ -277,3 +277,40 @@ func TestWatchdogTripDumpsFlightRecorder(t *testing.T) {
 		t.Errorf("trip snapshot missing or wrong: %q", snaps)
 	}
 }
+
+// TestRejectedWriteKeepsCoreQueueTime: a posted write that the
+// controller first rejects waits at its core, and when it is accepted
+// into an idle channel its data write issues inside that same Enqueue,
+// which finishes its journey. The wait must still be attributed to the
+// core-queue phase.
+func TestRejectedWriteKeepsCoreQueueTime(t *testing.T) {
+	cfg := smallConfig(t, dramcache.TDRAM, "is.D")
+	cfg.Obs = obs.Config{Journeys: true}
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sys.cores[0]
+	// Offer writes at time zero until a channel's write queue is full.
+	var w *mem.Request
+	for line := uint64(0); w == nil; line++ {
+		req := c.newRequest(line, mem.Write)
+		if !sys.ctl.Enqueue(req) {
+			w = req
+		}
+	}
+	// Let the queued writes drain, then offer the rejected one again.
+	const wait = 20 * sim.Microsecond
+	sys.sim.Run(wait)
+	if !sys.ctl.Enqueue(w) {
+		t.Fatal("the drained controller rejected the write again")
+	}
+	// Finishing a journey clears the request's reference to it (the
+	// record itself is back in the core's pool, unused since).
+	if w.J != nil {
+		t.Fatal("the write did not issue inside its own Enqueue; the test no longer covers that path")
+	}
+	if got := sys.obs.JourneyPhaseSum(mem.ClassWrite, mem.PhaseCoreQueue); got != wait {
+		t.Errorf("write journeys spent %v in the core queue, want the rejected write's %v", got, wait)
+	}
+}
