@@ -81,11 +81,11 @@ func Findings(t *testing.T, dir string, a *analysis.Analyzer, path string) []ana
 // real code. It copies the non-test Go sources of the real package in
 // dir (relative to the calling test) into a fixture package of the same
 // base name, checks that analyzer a finds nothing in the copy, replaces
-// the one occurrence of old in file with new, and returns a's findings
+// the one occurrence of from in file with to, and returns a's findings
 // on the mutated copy. The fixture's imports of the module's packages
 // resolve through export data, so the copy type-checks as the real
 // package does.
-func Mutate(t *testing.T, a *analysis.Analyzer, dir, file, old, new string) []analysis.Finding {
+func Mutate(t *testing.T, a *analysis.Analyzer, dir, file, from, to string) []analysis.Finding {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -120,13 +120,13 @@ func Mutate(t *testing.T, a *analysis.Analyzer, dir, file, old, new string) []an
 			t.Fatal(err)
 		}
 	}
-	if n := strings.Count(src, old); n != 1 {
-		t.Fatalf("mutation target %q occurs %d times in %s/%s, want once", old, n, dir, file)
+	if n := strings.Count(src, from); n != 1 {
+		t.Fatalf("mutation target %q occurs %d times in %s/%s, want once", from, n, dir, file)
 	}
 	if fs := Findings(t, root, a, pkg); len(fs) != 0 {
 		t.Fatalf("the unmutated copy of %s is not clean:\n%s", dir, Render(fs))
 	}
-	mutated := strings.Replace(src, old, new, 1)
+	mutated := strings.Replace(src, from, to, 1)
 	if err := os.WriteFile(filepath.Join(dst, file), []byte(mutated), 0o666); err != nil {
 		t.Fatal(err)
 	}

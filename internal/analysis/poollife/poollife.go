@@ -324,12 +324,10 @@ func checkEscapes(pass *analysis.Pass, body *ast.BlockStmt) {
 				return true
 			}
 			for i, arg := range n.Args {
+				// A type parameter's underlying type is its constraint
+				// interface, so IsInterface covers both.
 				named := pooledType(pass.TypesInfo.TypeOf(arg))
-				if named == nil {
-					continue
-				}
-				switch paramType(sig, i).(type) {
-				case *types.Interface, *types.TypeParam:
+				if named != nil && types.IsInterface(paramType(sig, i)) {
 					report(arg, named, "passed to "+name)
 				}
 			}
@@ -348,7 +346,7 @@ func checkEscapes(pass *analysis.Pass, body *ast.BlockStmt) {
 					continue
 				}
 				// A record's own freelist link is the pool's plumbing.
-				if field == "next" && lit != nil && pooledType(types.NewPointer(lit)) != nil {
+				if field == "next" && pooledType(types.NewPointer(lit)) != nil {
 					continue
 				}
 				if field != "" {
@@ -380,20 +378,11 @@ func declaredSignature(pass *analysis.Pass, call *ast.CallExpr) (*types.Signatur
 }
 
 // paramType returns the declared type of the parameter argument i binds
-// to, unwrapping a variadic tail to its element type.
+// to; a variadic tail binds its element type.
 func paramType(sig *types.Signature, i int) types.Type {
 	params := sig.Params()
-	if sig.Variadic() && i >= params.Len()-1 {
-		if s, ok := params.At(params.Len() - 1).Type().(*types.Slice); ok {
-			return s.Elem().Underlying()
-		}
+	if n := params.Len(); sig.Variadic() && i >= n-1 {
+		return params.At(n - 1).Type().(*types.Slice).Elem()
 	}
-	if i >= params.Len() {
-		return nil
-	}
-	t := params.At(i).Type()
-	if _, ok := t.(*types.TypeParam); ok {
-		return t
-	}
-	return t.Underlying()
+	return params.At(i).Type()
 }
