@@ -12,14 +12,12 @@
 //	go run ./cmd/tdlint -list
 //	go run ./cmd/tdlint -only determinism,hookguard ./internal/...
 //	go run ./cmd/tdlint -json ./... > findings.json
-//	go run ./cmd/tdlint -sarif ./... > findings.sarif
 //
 // Findings print as file:line:col: message (analyzer), one per line,
 // followed by indented remediation hints. -json emits them as a single
-// machine-readable document instead, and -sarif as a SARIF 2.1.0 log;
-// both use module-relative paths and the same stable ordering (file,
-// line, column, analyzer), so two runs over the same tree are
-// byte-identical. The exit status is 0 when the tree is clean, 1 when
+// machine-readable document instead, with module-relative paths and the
+// same stable ordering (file, line, column, analyzer), so two runs over
+// the same tree are byte-identical. The exit status is 0 when the tree is clean, 1 when
 // there are findings, 2 on load errors. A finding is suppressed by an
 // in-source directive on the flagged line or the line above it:
 //
@@ -74,9 +72,8 @@ func run(args []string, stdout, stderr *os.File) int {
 	list := fs.Bool("list", false, "list registered analyzers and exit")
 	dir := fs.String("C", ".", "change to `dir` before resolving package patterns")
 	asJSON := fs.Bool("json", false, "emit findings as a JSON document on stdout")
-	asSARIF := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log on stdout")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: tdlint [-only names] [-C dir] [-json|-sarif] [packages]\n\n")
+		fmt.Fprintf(stderr, "usage: tdlint [-only names] [-C dir] [-json] [packages]\n\n")
 		fmt.Fprintf(stderr, "Runs the tdram static-analysis suite over the packages (default ./...).\n\nAnalyzers:\n")
 		for _, a := range analyzers() {
 			fmt.Fprintf(stderr, "  %-12s %s\n", a.Name, strings.SplitN(a.Doc, "\n", 2)[0])
@@ -85,10 +82,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *asJSON && *asSARIF {
-		fmt.Fprintf(stderr, "tdlint: -json and -sarif are mutually exclusive\n")
 		return 2
 	}
 	suite := analyzers()
@@ -145,18 +138,12 @@ func run(args []string, stdout, stderr *os.File) int {
 	sortFindings(all)
 	relativizeFindings(all, *dir)
 
-	switch {
-	case *asJSON:
+	if *asJSON {
 		if err := writeJSON(stdout, all); err != nil {
 			fmt.Fprintf(stderr, "tdlint: %v\n", err)
 			return 2
 		}
-	case *asSARIF:
-		if err := writeSARIF(stdout, suite, all); err != nil {
-			fmt.Fprintf(stderr, "tdlint: %v\n", err)
-			return 2
-		}
-	default:
+	} else {
 		for _, f := range all {
 			fmt.Fprintln(stdout, f)
 			for _, fix := range f.Fixes {
@@ -172,7 +159,7 @@ func run(args []string, stdout, stderr *os.File) int {
 }
 
 // sortFindings orders findings by (file, line, column, analyzer,
-// message) so every output mode is stable across runs.
+// message) so both output modes are stable across runs.
 func sortFindings(fs []analysis.Finding) {
 	sort.Slice(fs, func(i, j int) bool {
 		pi, pj := fs[i].Pos, fs[j].Pos
@@ -193,8 +180,8 @@ func sortFindings(fs []analysis.Finding) {
 }
 
 // relativizeFindings rewrites absolute file paths relative to the run
-// directory (forward slashes), so the machine-readable outputs do not
-// leak the checkout location and diff cleanly across machines.
+// directory (forward slashes), so the output does not leak the
+// checkout location and diffs cleanly across machines.
 func relativizeFindings(fs []analysis.Finding, dir string) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
@@ -235,88 +222,4 @@ func writeJSON(w *os.File, fs []analysis.Finding) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(doc)
-}
-
-// Minimal SARIF 2.1.0 shapes — one run, one rule per analyzer, one
-// result per finding.
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-type sarifDriver struct {
-	Name  string      `json:"name"`
-	Rules []sarifRule `json:"rules"`
-}
-type sarifRule struct {
-	ID        string    `json:"id"`
-	ShortDesc sarifText `json:"shortDescription"`
-}
-type sarifText struct {
-	Text string `json:"text"`
-}
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifText       `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-}
-type sarifLocation struct {
-	PhysicalLocation sarifPhysical `json:"physicalLocation"`
-}
-type sarifPhysical struct {
-	ArtifactLocation sarifArtifact `json:"artifactLocation"`
-	Region           sarifRegion   `json:"region"`
-}
-type sarifArtifact struct {
-	URI string `json:"uri"`
-}
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn,omitempty"`
-}
-
-func writeSARIF(w *os.File, suite []*analysis.Analyzer, fs []analysis.Finding) error {
-	rules := make([]sarifRule, 0, len(suite)+1)
-	for _, a := range suite {
-		rules = append(rules, sarifRule{
-			ID:        a.Name,
-			ShortDesc: sarifText{Text: strings.SplitN(a.Doc, "\n", 2)[0]},
-		})
-	}
-	// Directive-hygiene findings (malformed or unused tdlint:allow) are
-	// attributed to the driver itself.
-	rules = append(rules, sarifRule{ID: "tdlint", ShortDesc: sarifText{Text: "tdlint directive hygiene"}})
-	results := make([]sarifResult, 0, len(fs))
-	for _, f := range fs {
-		results = append(results, sarifResult{
-			RuleID:  f.Analyzer,
-			Level:   "error",
-			Message: sarifText{Text: f.Message},
-			Locations: []sarifLocation{{
-				PhysicalLocation: sarifPhysical{
-					ArtifactLocation: sarifArtifact{URI: f.Pos.Filename},
-					Region:           sarifRegion{StartLine: f.Pos.Line, StartColumn: f.Pos.Column},
-				},
-			}},
-		})
-	}
-	log := sarifLog{
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Version: "2.1.0",
-		Runs: []sarifRun{{
-			Tool:    sarifTool{Driver: sarifDriver{Name: "tdlint", Rules: rules}},
-			Results: results,
-		}},
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(log)
 }

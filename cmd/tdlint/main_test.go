@@ -46,13 +46,6 @@ func TestUnknownAnalyzerRejected(t *testing.T) {
 	}
 }
 
-// TestOutputModesExclusive rejects -json together with -sarif.
-func TestOutputModesExclusive(t *testing.T) {
-	if code := run([]string{"-json", "-sarif", "./..."}, os.Stdout, os.Stderr); code != 2 {
-		t.Fatalf("run(-json -sarif) = %d, want 2", code)
-	}
-}
-
 // TestJSONOutput checks the machine-readable document parses and
 // reports a clean package as zero findings.
 func TestJSONOutput(t *testing.T) {

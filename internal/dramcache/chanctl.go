@@ -202,11 +202,7 @@ func (cc *chanCtl) acceptRead(req *mem.Request, bank int) bool {
 			// Predicted miss: start the backing fetch in parallel.
 			t.predStarted = true
 			cc.st().PredictorMissStarts++
-			cc.ctl.stats.MMReads++
-			cc.ctl.stats.Traffic.MMDemandBytes += 64
-			cc.ctl.mmMeter.Acts++
-			cc.ctl.mmMeter.Cols++
-			cc.ctl.mmMeter.Bytes += 64
+			cc.ctl.countMMRead()
 			t.refs++ // the fetch holds t until predictorDataEv
 			//tdlint:allow poollife — the fetch is a counted reference that predictorDataEv releases
 			cc.ctl.mm.ReadArg(line, predictorDataEv, t)

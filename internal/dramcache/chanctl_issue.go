@@ -546,11 +546,7 @@ func (cc *chanCtl) probeResult(t *txn, at sim.Tick) {
 				j.Enter(mem.PhaseMissFetch, at)
 			}
 		}
-		cc.ctl.stats.MMReads++
-		cc.ctl.stats.Traffic.MMDemandBytes += 64
-		cc.ctl.mmMeter.Acts++
-		cc.ctl.mmMeter.Cols++
-		cc.ctl.mmMeter.Bytes += 64
+		cc.ctl.countMMRead()
 		t.refs++ // the fetch holds t until probeMissDataEv
 		//tdlint:allow poollife — the fetch is a counted reference that probeMissDataEv releases
 		if !cc.ctl.mm.ReadArg(t.line, probeMissDataEv, t) {

@@ -312,11 +312,7 @@ func (c *Controller) maybePrefetch(core int, line uint64) {
 		c.markInflight(target)
 		c.prefetched[target] = struct{}{}
 		c.stats.PrefetchesIssued++
-		c.stats.MMReads++
-		c.stats.Traffic.MMDemandBytes += 64
-		c.mmMeter.Acts++
-		c.mmMeter.Cols++
-		c.mmMeter.Bytes += 64
+		c.countMMRead()
 		c.mm.ReadArg(target, c.prefetchDoneFn, target)
 	}
 }
@@ -567,11 +563,7 @@ func (c *Controller) enqueueNoCache(req *mem.Request) bool {
 			c.stats.QueueRejects++
 			return false
 		}
-		c.stats.MMReads++
-		c.stats.Traffic.MMDemandBytes += 64
-		c.mmMeter.Acts++
-		c.mmMeter.Cols++
-		c.mmMeter.Bytes += 64
+		c.countMMRead()
 		c.countDemand(req)
 		if j := req.J; j != nil {
 			j.MarkBypass()
@@ -583,11 +575,7 @@ func (c *Controller) enqueueNoCache(req *mem.Request) bool {
 		c.stats.QueueRejects++
 		return false
 	}
-	c.stats.MMWrites++
-	c.stats.Traffic.MMWritebackBytes += 64
-	c.mmMeter.Acts++
-	c.mmMeter.Cols++
-	c.mmMeter.Bytes += 64
+	c.countMMWrite()
 	c.countDemand(req)
 	if j := req.J; j != nil {
 		j.MarkBypass()
@@ -614,6 +602,26 @@ func (c *Controller) noCacheDone(a any, _ sim.Tick) {
 	c.retryUpstream()
 }
 
+// countMMRead charges one 64 B line read from the backing store: the
+// read count, demand traffic and one activate and column on the DDR5
+// meter.
+func (c *Controller) countMMRead() {
+	c.stats.MMReads++
+	c.stats.Traffic.MMDemandBytes += 64
+	c.mmMeter.Acts++
+	c.mmMeter.Cols++
+	c.mmMeter.Bytes += 64
+}
+
+// countMMWrite charges one 64 B line written back to the backing store.
+func (c *Controller) countMMWrite() {
+	c.stats.MMWrites++
+	c.stats.Traffic.MMWritebackBytes += 64
+	c.mmMeter.Acts++
+	c.mmMeter.Cols++
+	c.mmMeter.Bytes += 64
+}
+
 // missFetch starts the backing-store read for a demand miss and wires
 // the completion: respond to the demand, resolve conflict waiters, and
 // enqueue the fill (unless bypassed). The transaction rides along as the
@@ -626,11 +634,7 @@ func (c *Controller) missFetch(t *txn) {
 			j.Enter(mem.PhaseMissFetch, c.sim.Now())
 		}
 	}
-	c.stats.MMReads++
-	c.stats.Traffic.MMDemandBytes += 64
-	c.mmMeter.Acts++
-	c.mmMeter.Cols++
-	c.mmMeter.Bytes += 64
+	c.countMMRead()
 	t.refs++ // the fetch holds t until missDataEv
 	//tdlint:allow poollife — the fetch is a counted reference that missDataEv releases
 	if !c.mm.ReadArg(t.line, missDataEv, t) {
@@ -743,11 +747,7 @@ func (c *Controller) pumpWritebacks() {
 			return
 		}
 		c.wbQ.Pop()
-		c.stats.MMWrites++
-		c.stats.Traffic.MMWritebackBytes += 64
-		c.mmMeter.Acts++
-		c.mmMeter.Cols++
-		c.mmMeter.Bytes += 64
+		c.countMMWrite()
 	}
 }
 

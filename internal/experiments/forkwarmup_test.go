@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"tdram/internal/dramcache"
@@ -12,16 +11,15 @@ import (
 )
 
 // TestMatrixForkVsReplayBitIdentical pins the shared-warmup fork's
-// acceptance criterion: every (design, workload) cell run from the
-// per-workload WarmupImage must be bit-identical — the full Result
-// struct, every counter and histogram — to the same cell replaying the
-// warmup into an image of its own, and the progress stream must say
-// which path each cell took. Study cells that leave the matrix config —
-// other associativities, fault injection, flush-buffer sizes, journey
-// attribution — fork too, from their image key's image, and match
-// system.Run of the same config. Under -short or the race detector the
-// matrix is trimmed so the package fits the 1-CPU race budget; the full
-// band-balanced subset runs in every regular pass.
+// acceptance criterion: every (design, workload) cell run from its image
+// key's shared WarmupImage must be bit-identical — the full Result
+// struct, every counter and histogram — to system.Run of the same
+// config, which replays the warmup into an image of its own. Study cells
+// that leave the matrix config — other associativities, fault
+// injection, flush-buffer sizes, journey attribution — fork too, from
+// their image key's image, and match the same way. Under -short or the
+// race detector the matrix is trimmed so the package fits the 1-CPU race
+// budget; the full band-balanced subset runs in every regular pass.
 func TestMatrixForkVsReplayBitIdentical(t *testing.T) {
 	sc := Quick()
 	jobs := 8
@@ -34,18 +32,16 @@ func TestMatrixForkVsReplayBitIdentical(t *testing.T) {
 		sc.Workloads = sc.studySubset(6)
 	}
 
-	run := func(what string) (*Matrix, []string) {
-		var lines []string
-		m, err := RunMatrixOpts(sc, MatrixOptions{
-			Jobs:     jobs,
-			Progress: func(s string) { lines = append(lines, s) },
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
-		return m, lines
+	m, err := RunMatrixOpts(sc, MatrixOptions{Jobs: jobs})
+	if err != nil {
+		t.Fatal(err)
 	}
-	forked, forkLines := run("fork")
+	var cells []system.Config
+	var forked []*system.Result
+	for _, c := range sweepCells(sc) {
+		cells = append(cells, sc.Config(c.d, c.wl))
+		forked = append(forked, m.Results[Key{c.d, c.wl.Name}])
+	}
 
 	var extra []system.Config
 	for _, wl := range sc.Workloads {
@@ -59,65 +55,26 @@ func TestMatrixForkVsReplayBitIdentical(t *testing.T) {
 		journeys.Obs.Journeys = true
 		extra = append(extra, ways, faulty, flush, journeys)
 	}
-	var studyLines []string
 	var outs outcomes
 	keep := func(o outcomes) *Report { outs = o; return &Report{} }
-	_, _, err := sc.run(false, []study{{extra, keep}}, MatrixOptions{
-		Jobs:     jobs,
-		Progress: func(s string) { studyLines = append(studyLines, s) },
-	})
-	if err != nil {
+	if _, _, err := sc.run(false, []study{{extra, keep}}, MatrixOptions{Jobs: jobs}); err != nil {
 		t.Fatalf("study cells: %v", err)
 	}
-	for i, cfg := range extra {
+	for _, o := range outs {
+		forked = append(forked, o.res)
+	}
+	cells = append(cells, extra...)
+
+	for i, cfg := range cells {
 		want, err := system.Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := outs[i].res; !reflect.DeepEqual(got, want) {
-			t.Errorf("study cell %d (%s/%v): forked result differs from system.Run:\nfork %+v\nrun  %+v",
+		if got := forked[i]; !reflect.DeepEqual(got, want) {
+			t.Errorf("cell %d (%s/%v): forked result differs from system.Run:\nfork %+v\nrun  %+v",
 				i, cfg.Workload.Name, cfg.Cache.Design, got, want)
-		}
-	}
-	if len(studyLines) != len(extra) {
-		t.Errorf("study progress lines = %d, want %d", len(studyLines), len(extra))
-	}
-	for i, line := range studyLines {
-		if !strings.HasSuffix(line, "warmup=fork") {
-			t.Errorf("study line %d missing warmup=fork: %q", i, line)
-		}
-	}
-
-	withoutSharedImages(t)
-	replayed, replayLines := run("replay")
-
-	if len(forked.Results) != len(replayed.Results) {
-		t.Fatalf("cell count: forked %d, replayed %d", len(forked.Results), len(replayed.Results))
-	}
-	for k, rr := range replayed.Results {
-		fr := forked.Results[k]
-		if fr == nil {
-			t.Fatalf("%s/%v: missing from forked matrix", k.Workload, k.Design)
-		}
-		if !reflect.DeepEqual(rr, fr) {
-			t.Errorf("%s/%v: forked and replayed results differ:\nreplay %+v\nfork   %+v",
-				k.Workload, k.Design, rr, fr)
-		}
-		if rs, fs := fmt.Sprintf("%+v", rr), fmt.Sprintf("%+v", fr); rs != fs {
-			t.Errorf("%s/%v: result fingerprints differ", k.Workload, k.Design)
-		}
-	}
-
-	// Every cell's progress line must name its warmup path; in the stock
-	// matrix every design shares the image, so all cells fork.
-	for i, line := range forkLines {
-		if !strings.HasSuffix(line, "warmup=fork") {
-			t.Errorf("fork-mode line %d missing warmup=fork: %q", i, line)
-		}
-	}
-	for i, line := range replayLines {
-		if !strings.HasSuffix(line, "warmup=replay") {
-			t.Errorf("replay-mode line %d missing warmup=replay: %q", i, line)
+		} else if gs, ws := fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", want); gs != ws {
+			t.Errorf("cell %d (%s/%v): result fingerprints differ", i, cfg.Workload.Name, cfg.Cache.Design)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
@@ -15,11 +14,11 @@ import (
 func countBuilds(t *testing.T, before func()) func(cfg system.Config) int {
 	t.Helper()
 	var mu sync.Mutex
-	builds := map[imageKey]int{}
+	builds := map[system.ImageKey]int{}
 	old := buildImage
 	buildImage = func(cfg system.Config) (*system.WarmupImage, error) {
 		mu.Lock()
-		builds[imageKeyOf(cfg)]++
+		builds[cfg.ImageKey()]++
 		mu.Unlock()
 		if before != nil {
 			before()
@@ -30,7 +29,7 @@ func countBuilds(t *testing.T, before func()) func(cfg system.Config) int {
 	return func(cfg system.Config) int {
 		mu.Lock()
 		defer mu.Unlock()
-		return builds[imageKeyOf(cfg)]
+		return builds[cfg.ImageKey()]
 	}
 }
 
@@ -49,17 +48,9 @@ func btScale(t *testing.T, requests int) Scale {
 // firstCell is the scale's first cell: its image key is the sweep's.
 func firstCell(sc Scale) system.Config { return sc.Config(MatrixDesigns()[0], sc.Workloads[0]) }
 
-// sweepForked runs sc and requires every cell to fork from a shared image.
-func sweepForked(t *testing.T, sc Scale, opts MatrixOptions) *Matrix {
+// sweepOK runs sc and requires every cell to complete.
+func sweepOK(t *testing.T, sc Scale, opts MatrixOptions) *Matrix {
 	t.Helper()
-	var mu sync.Mutex
-	opts.Progress = func(line string) {
-		if !strings.Contains(line, "warmup=fork") {
-			mu.Lock()
-			defer mu.Unlock()
-			t.Errorf("cell did not fork: %s", line)
-		}
-	}
 	m, err := RunMatrixOpts(sc, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -72,8 +63,8 @@ func sweepForked(t *testing.T, sc Scale, opts MatrixOptions) *Matrix {
 // other and at the same time, and their results equal uncached ones.
 func TestImageCacheBuildsEachKeyOnce(t *testing.T) {
 	a, b := btScale(t, 50), btScale(t, 60)
-	refA := sweepForked(t, a, MatrixOptions{Jobs: 2})
-	refB := sweepForked(t, b, MatrixOptions{Jobs: 2})
+	refA := sweepOK(t, a, MatrixOptions{Jobs: 2})
+	refB := sweepOK(t, b, MatrixOptions{Jobs: 2})
 	same := func(got, want *Matrix) {
 		t.Helper()
 		if !reflect.DeepEqual(got.Results, want.Results) {
@@ -84,8 +75,8 @@ func TestImageCacheBuildsEachKeyOnce(t *testing.T) {
 	t.Run("sequential", func(t *testing.T) {
 		builds := countBuilds(t, nil)
 		cache := NewImageCache(64 << 20)
-		same(sweepForked(t, a, MatrixOptions{Jobs: 2, Images: cache}), refA)
-		same(sweepForked(t, b, MatrixOptions{Jobs: 2, Images: cache}), refB)
+		same(sweepOK(t, a, MatrixOptions{Jobs: 2, Images: cache}), refA)
+		same(sweepOK(t, b, MatrixOptions{Jobs: 2, Images: cache}), refB)
 		if n := builds(firstCell(a)); n != 1 {
 			t.Errorf("two sweeps built the shared image %d times, want 1", n)
 		}
@@ -138,10 +129,10 @@ func TestImageCacheBound(t *testing.T) {
 		}
 		// The bound holds the 1 MiB image but not the 4 MiB one.
 		cache := NewImageCache(img.Bytes() * 3 / 2)
-		sweepForked(t, small, MatrixOptions{Jobs: 2, Images: cache})
-		sweepForked(t, big, MatrixOptions{Jobs: 2, Images: cache})
-		sweepForked(t, big, MatrixOptions{Jobs: 2, Images: cache})
-		sweepForked(t, small, MatrixOptions{Jobs: 2, Images: cache})
+		sweepOK(t, small, MatrixOptions{Jobs: 2, Images: cache})
+		sweepOK(t, big, MatrixOptions{Jobs: 2, Images: cache})
+		sweepOK(t, big, MatrixOptions{Jobs: 2, Images: cache})
+		sweepOK(t, small, MatrixOptions{Jobs: 2, Images: cache})
 		if n := builds(firstCell(big)); n != 2 {
 			t.Errorf("built the oversized image %d times, want 2 (not kept)", n)
 		}
@@ -170,8 +161,8 @@ func TestImageCacheBound(t *testing.T) {
 		// Equal geometries make equal sizes: the bound holds two images.
 		cache := NewImageCache(2 * img.Bytes())
 		for _, name := range []string{"bt.C", "lu.C", "bt.C", "ft.C", "bt.C", "lu.C"} {
-			if cache.get(imageKeyOf(cfgs[name]), cfgs[name]) == nil {
-				t.Fatalf("%s: no image", name)
+			if img, err := cache.get(cfgs[name]); img == nil || err != nil {
+				t.Fatalf("%s: no image: %v", name, err)
 			}
 		}
 		// ft.C evicted lu.C, the least recently used; bt.C stayed.

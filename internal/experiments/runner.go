@@ -57,11 +57,10 @@ type MatrixOptions struct {
 	OnCell func(Key, *system.Result, error)
 
 	// Budget, when non-nil, gates cell simulation on a shared CPU-token
-	// pool: the sweep registers one lease for its duration, and every
-	// worker acquires a token before simulating a cell and releases it
-	// after. Jobs stays the goroutine fan-out ceiling; the budget decides
-	// how many of those goroutines may simulate at once, so several
-	// sweeps sharing one budget split the host fairly instead of
+	// pool: every worker acquires a token before simulating a cell and
+	// releases it after. Jobs stays the goroutine fan-out ceiling; the
+	// budget decides how many of those goroutines may simulate at once,
+	// so several sweeps sharing one budget split the host instead of
 	// oversubscribing it (see CPUBudget). Gating only reorders wall-clock
 	// scheduling between independent cells — results stay bit-identical
 	// to an ungated run. A nil Budget never gates.
@@ -97,8 +96,8 @@ type outcome struct {
 	obs *obs.Observer
 }
 
-// runCell simulates one cell, forking from img (nil: a warmup image of
-// its own); tests replace it to inject faults.
+// runCell simulates one cell, forking from its image key's image; tests
+// replace it to inject faults.
 var runCell = func(cfg system.Config, img *system.WarmupImage) (outcome, error) {
 	sys, err := system.NewWithImage(cfg, img)
 	if err != nil {
@@ -116,27 +115,16 @@ var runCell = func(cfg system.Config, img *system.WarmupImage) (outcome, error) 
 // it alongside runCell.
 var buildImage = system.BuildWarmupImage
 
-// runCellSafe executes one cell, forking from img when one is available
-// and compatible, and converts a panicking simulation into a per-cell
-// error so one broken cell cannot take down the rest of the sweep (or
-// the finished part of it). It reports whether the cell forked from the
-// shared image or replayed the warmup into an image of its own.
-func runCellSafe(cfg system.Config, img *system.WarmupImage) (out outcome, forked bool, err error) {
+// runCellSafe executes one cell and converts a panicking simulation into
+// a per-cell error, so one broken cell cannot take down the rest of the
+// sweep (or the finished part of it).
+func runCellSafe(cfg system.Config, img *system.WarmupImage) (out outcome, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v\n%s", r, debug.Stack())
 		}
 	}()
-	if img != nil {
-		out, err = runCell(cfg, img)
-		if !errors.Is(err, system.ErrIncompatibleImage) {
-			return out, true, err // a result, or a real simulation failure, not a fork limitation
-		}
-		// This config cannot be seeded from the shared image; this cell
-		// alone replays the warmup into an image of its own.
-	}
-	out, err = runCell(cfg, nil)
-	return out, false, err
+	return runCell(cfg, img)
 }
 
 // cellKey is a cell's config minus the one incomparable field, the
@@ -167,41 +155,24 @@ func keyOf(c system.Config) cellKey {
 	}
 }
 
-// imageKey is what the functional warmup depends on (see
-// system.WarmupImage): every cell with the same key forks from one
-// image.
-type imageKey struct {
-	wl       workload.Spec
-	seed     uint64
-	cores    int
-	capacity uint64
-	ways     int
-	l1, l2   uint64
-}
-
-func imageKeyOf(c system.Config) imageKey {
-	return imageKey{wl: c.Workload, seed: c.Seed, cores: c.Cores,
-		capacity: c.Cache.CapacityBytes, ways: c.Cache.Ways, l1: c.L1Bytes, l2: c.L2Bytes}
-}
-
-// imageSlot holds one image key's warmup image for a sweep: fetched by
-// the first worker to reach one of its cells (the others wait on the
-// Once) from the sweep's ImageCache, which builds it unless it already
-// holds it, and dropped when the key's last cell is done. A build
-// failure (error or panic) leaves it nil and every cell of the key
-// builds its own image.
+// imageSlot holds one image key's (system.ImageKey) warmup image for a
+// sweep: fetched by the first worker to reach one of its cells (the
+// others wait on the Once) from the sweep's ImageCache, which builds it
+// unless it already holds it, and dropped when the key's last cell is
+// done. A failed build (error or panic) runs once and fails every cell
+// of the key.
 type imageSlot struct {
-	key    imageKey
 	images *ImageCache
 	once   sync.Once
 	img    *system.WarmupImage
+	err    error
 	cells  []*cellRun // the key's distinct cells, in first-appearance order
 	left   atomic.Int32
 }
 
-func (s *imageSlot) get(cfg system.Config) *system.WarmupImage {
-	s.once.Do(func() { s.img = s.images.get(s.key, cfg) })
-	return s.img
+func (s *imageSlot) get(cfg system.Config) (*system.WarmupImage, error) {
+	s.once.Do(func() { s.img, s.err = s.images.get(cfg) })
+	return s.img, s.err
 }
 
 // release marks one of the key's cells done. Every cell calls get, if
@@ -215,28 +186,36 @@ func (s *imageSlot) release() {
 
 // cellRun is one distinct cell of a sweep.
 type cellRun struct {
-	cfg    system.Config
-	first  int // index of the first swept cell with this key
-	slot   *imageSlot
-	out    outcome
-	forked bool
-	err    error // a *CellError
-	done   chan struct{}
+	cfg   system.Config
+	first int // index of the first swept cell with this key
+	slot  *imageSlot
+	out   outcome
+	err   error // a *CellError
+	done  chan struct{}
 }
 
-func (r *cellRun) run(ctx context.Context, lease *CPULease) {
+func (r *cellRun) run(ctx context.Context, budget *CPUBudget) {
 	defer r.slot.release()
 	err := ctx.Err() // cancelled between cells: fail without simulating
-	if err == nil && lease != nil {
+	if err == nil {
+		// An invalid cell fails alone, before it can fail the image build
+		// its key's valid cells share.
+		err = r.cfg.Validate()
+	}
+	if err == nil && budget != nil {
 		// The budget gate: simulation (including the shared warmup-image
 		// build) happens only under a held token. A cancellation while
 		// queued for a token fails the cell like the check above.
-		if err = lease.Acquire(ctx); err == nil {
-			defer lease.Release()
+		if err = budget.acquire(ctx); err == nil {
+			defer budget.release()
 		}
 	}
+	var img *system.WarmupImage
 	if err == nil {
-		r.out, r.forked, err = runCellSafe(r.cfg, r.slot.get(r.cfg))
+		img, err = r.slot.get(r.cfg)
+	}
+	if err == nil {
+		r.out, err = runCellSafe(r.cfg, img)
 	}
 	if err != nil {
 		r.out, r.err = outcome{}, &CellError{Design: r.cfg.Cache.Design, Workload: r.cfg.Workload.Name, Err: err}
@@ -248,36 +227,32 @@ func (r *cellRun) progress() string {
 	if r.err != nil {
 		return fmt.Sprintf("%-8s %-12s FAILED: %s", name, d, firstLine(errors.Unwrap(r.err).Error()))
 	}
-	warmup := "replay"
-	if r.forked {
-		warmup = "fork"
-	}
-	return fmt.Sprintf("%-8s %-12s runtime=%-12v missratio=%.2f warmup=%s",
-		name, d, r.out.res.Runtime, r.out.res.Cache.Outcomes.MissRatio(), warmup)
+	return fmt.Sprintf("%-8s %-12s runtime=%-12v missratio=%.2f",
+		name, d, r.out.res.Runtime, r.out.res.Cache.Outcomes.MissRatio())
 }
 
 // sweep is the one cell runner. It simulates each distinct cell (see
-// cellKey) once, forking it from its image key's shared warmup image,
-// up to opts.Jobs at a time under opts.Budget and opts.Context. The
-// distinct cells run grouped by image key, keys in first-appearance
-// order, so each image is dropped soon after it is built, unless
-// opts.Images keeps it for later sweeps. drained receives every
-// distinct cell once, in that order, from the caller's goroutine, after
-// its progress line. sweep returns the run of every input cell; cells
-// with equal keys share one.
+// cellKey) once, forking it from its image key's shared warmup image
+// (see system.ImageKey), up to opts.Jobs at a time under opts.Budget
+// and opts.Context. The distinct cells run grouped by image key, keys
+// in first-appearance order, so each image is dropped soon after it is
+// built, unless opts.Images keeps it for later sweeps. drained receives
+// every distinct cell once, in that order, from the caller's goroutine,
+// after its progress line. sweep returns the run of every input cell;
+// cells with equal keys share one.
 func sweep(cells []system.Config, opts MatrixOptions, drained func(*cellRun)) []*cellRun {
 	runs := make([]*cellRun, len(cells))
 	byKey := make(map[cellKey]*cellRun)
-	byImage := make(map[imageKey]*imageSlot)
+	byImage := make(map[system.ImageKey]*imageSlot)
 	var slots []*imageSlot
 	for i, cfg := range cells {
 		k := keyOf(cfg)
 		r := byKey[k]
 		if r == nil {
-			ik := imageKeyOf(cfg)
+			ik := cfg.ImageKey()
 			s := byImage[ik]
 			if s == nil {
-				s = &imageSlot{key: ik, images: opts.Images}
+				s = &imageSlot{images: opts.Images}
 				byImage[ik] = s
 				slots = append(slots, s)
 			}
@@ -302,11 +277,6 @@ func sweep(cells []system.Config, opts MatrixOptions, drained func(*cellRun)) []
 		jobs = runtime.GOMAXPROCS(0)
 	}
 	jobs = min(jobs, len(order))
-	var lease *CPULease
-	if opts.Budget != nil {
-		lease = opts.Budget.Lease()
-		defer lease.Close()
-	}
 	// Workers publish into the runs; the caller's goroutine drains them in
 	// order, so progress and the drained callback are single-threaded and
 	// deterministic.
@@ -317,7 +287,7 @@ func sweep(cells []system.Config, opts MatrixOptions, drained func(*cellRun)) []
 		go func() {
 			defer wg.Done()
 			for r := range next {
-				r.run(ctx, lease)
+				r.run(ctx, opts.Budget)
 				close(r.done)
 			}
 		}()

@@ -18,8 +18,7 @@ import (
 // fakeRunCell installs a runCell stub for the duration of the test, so
 // runner-machinery tests don't pay for real simulations. The warmup
 // image builder is stubbed alongside it with an empty image (its
-// content would only feed real system runs), so every cell takes the
-// fork path and reaches the stub once. The stub result is a pure
+// content would only feed real system runs). The stub result is a pure
 // function of the cell so any schedule yields the same matrix.
 func fakeRunCell(t *testing.T, fn func(cfg system.Config) (*system.Result, error)) {
 	t.Helper()
@@ -30,18 +29,6 @@ func fakeRunCell(t *testing.T, fn func(cfg system.Config) (*system.Result, error
 	}
 	buildImage = func(system.Config) (*system.WarmupImage, error) { return &system.WarmupImage{}, nil }
 	t.Cleanup(func() { runCell, buildImage = oldRun, oldBuild })
-}
-
-// withoutSharedImages stubs the shared warmup-image builder out for the
-// rest of the test, so every cell replays the warmup into an image of
-// its own.
-func withoutSharedImages(t *testing.T) {
-	t.Helper()
-	oldBuild := buildImage
-	buildImage = func(system.Config) (*system.WarmupImage, error) {
-		return nil, fmt.Errorf("shared warmup images disabled")
-	}
-	t.Cleanup(func() { buildImage = oldBuild })
 }
 
 func fakeResult(cfg system.Config) *system.Result {
@@ -366,7 +353,7 @@ func TestMatrixProgressOrdering(t *testing.T) {
 func TestReproduceSimulatesEachConfigOnce(t *testing.T) {
 	var mu sync.Mutex
 	sims := map[cellKey]int{}
-	builds := map[imageKey]int{}
+	builds := map[system.ImageKey]int{}
 	fakeRunCell(t, func(cfg system.Config) (*system.Result, error) {
 		mu.Lock()
 		sims[keyOf(cfg)]++
@@ -375,7 +362,7 @@ func TestReproduceSimulatesEachConfigOnce(t *testing.T) {
 	})
 	buildImage = func(cfg system.Config) (*system.WarmupImage, error) {
 		mu.Lock()
-		builds[imageKeyOf(cfg)]++
+		builds[cfg.ImageKey()]++
 		mu.Unlock()
 		return &system.WarmupImage{}, nil
 	}
@@ -417,7 +404,7 @@ func TestReproduceSimulatesEachConfigOnce(t *testing.T) {
 	}
 	for k, n := range builds {
 		if n != 1 {
-			t.Errorf("image %s/%d-way built %d times", k.wl.Name, k.ways, n)
+			t.Errorf("image %s/%d-way built %d times", k.Workload.Name, k.Ways, n)
 		}
 	}
 }
@@ -556,4 +543,84 @@ func TestCellKeyCoversConfig(t *testing.T) {
 		}
 	}
 	walk(reflect.TypeOf(base), nil, "")
+}
+
+// TestImageBuildFailure: a failed image build runs once and fails
+// exactly its key's cells, each with the build's error (a panic here),
+// while the other keys' cells complete — with and without an
+// ImageCache, which keeps no failed build.
+func TestImageBuildFailure(t *testing.T) {
+	sc := budgetScale()
+	bad := sc.Workloads[0].Name
+	for _, images := range []*ImageCache{nil, NewImageCache(64 << 20)} {
+		fakeRunCell(t, func(cfg system.Config) (*system.Result, error) {
+			return fakeResult(cfg), nil
+		})
+		var mu sync.Mutex
+		builds := map[string]int{}
+		buildImage = func(cfg system.Config) (*system.WarmupImage, error) {
+			mu.Lock()
+			builds[cfg.Workload.Name]++
+			mu.Unlock()
+			if cfg.Workload.Name == bad {
+				panic("injected build failure")
+			}
+			return &system.WarmupImage{}, nil
+		}
+
+		m, err := RunMatrixOpts(sc, MatrixOptions{Jobs: 4, Images: images})
+		if err == nil {
+			t.Fatal("no error from a sweep whose image build failed")
+		}
+		failed := err.(interface{ Unwrap() []error }).Unwrap()
+		if len(failed) != len(MatrixDesigns()) {
+			t.Errorf("%d cell errors, want one per design of %s", len(failed), bad)
+		}
+		for _, e := range failed {
+			var cerr *CellError
+			if !errors.As(e, &cerr) || cerr.Workload != bad || !strings.Contains(cerr.Err.Error(), "injected build failure") {
+				t.Errorf("cell failure %v, want a %s CellError carrying the build panic", e, bad)
+			}
+		}
+		if builds[bad] != 1 {
+			t.Errorf("failing image built %d times, want once", builds[bad])
+		}
+		if len(m.Results) != len(MatrixDesigns()) {
+			t.Errorf("completed cells = %d, want the other workload's %d", len(m.Results), len(MatrixDesigns()))
+		}
+		for k := range m.Results {
+			if k.Workload == bad {
+				t.Errorf("%s/%v completed without its image", k.Workload, k.Design)
+			}
+		}
+		if images != nil && images.Len() != 1 {
+			t.Errorf("image cache keeps %d images, want only the built one", images.Len())
+		}
+	}
+}
+
+// TestInvalidCellFailsAlone: a cell whose config fails Validate fails
+// alone, before it asks for its image key's image, so the key's valid
+// cells still build the image and complete. The invalid cell comes
+// first and the sweep has one worker, so without the check its config
+// would build the key's image and fail it.
+func TestInvalidCellFailsAlone(t *testing.T) {
+	sc := btScale(t, 50)
+	valid := firstCell(sc)
+	invalid := valid
+	invalid.MaxOutstanding = 0 // outside the image key
+	if invalid.ImageKey() != valid.ImageKey() {
+		t.Fatal("the invalid cell must share the valid cells' image key")
+	}
+	cells := []system.Config{invalid, valid, sc.Config(MatrixDesigns()[1], sc.Workloads[0])}
+	runs := sweep(cells, MatrixOptions{Jobs: 1}, func(*cellRun) {})
+	var cerr *CellError
+	if !errors.As(runs[0].err, &cerr) || !strings.Contains(cerr.Err.Error(), "max outstanding") {
+		t.Errorf("invalid cell: err = %v, want its Validate error", runs[0].err)
+	}
+	for i, r := range runs[1:] {
+		if r.err != nil || r.out.res == nil {
+			t.Errorf("valid cell %d: err = %v", i+1, r.err)
+		}
+	}
 }

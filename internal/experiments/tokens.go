@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"runtime"
-	"sync"
 )
 
 // CPUBudget is a shared pool of CPU tokens that arbitrates matrix
@@ -12,25 +11,19 @@ import (
 // token per host CPU, so however many sweeps are in flight, the number
 // of cells simulating concurrently never oversubscribes the machine.
 //
-// The split between sweeps is a weighted fair share recomputed as
-// leases come and go: a lease may hold up to max(1, total/leases)
-// tokens. A lone sweep therefore gets the whole budget (full fan-out);
-// when more sweeps join, each sweep's cap shrinks and its surplus
-// tokens drain back at cell boundaries — degradation is gradual and
-// cell-granular, never a mid-cell preemption — so a deep queue turns
-// into many sweeps each making progress instead of one sweep hogging
-// every core. The floor of one token per lease guarantees progress for
-// every sweep regardless of how contended the pool is.
+// The pool is a buffered channel: acquiring a token sends into it and
+// releasing one receives. A lone sweep therefore gets the whole budget,
+// and the split between sweeps rests on the runtime's FIFO hand-off of
+// a freed slot to the sender that has waited longest: a sweep that
+// joins a full pool queues behind the workers already waiting and gets
+// a token at one of the next cell boundaries, never by a mid-cell
+// preemption. The hard invariants do not depend on that order: tokens
+// in use never exceed the total (TestTokenBudgetConservation), and
+// gating only reorders wall-clock scheduling, never results.
 //
-// CPUBudget is safe for concurrent use; its invariant — tokens in use
-// never exceed the total — holds at every instant and is pinned by
-// TestTokenBudgetConservation.
+// CPUBudget is safe for concurrent use.
 type CPUBudget struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	total  int
-	inUse  int
-	leases int
+	tokens chan struct{}
 }
 
 // NewCPUBudget builds a pool of total tokens; total <= 0 selects
@@ -39,119 +32,29 @@ func NewCPUBudget(total int) *CPUBudget {
 	if total <= 0 {
 		total = runtime.GOMAXPROCS(0)
 	}
-	b := &CPUBudget{total: total}
-	b.cond = sync.NewCond(&b.mu)
-	return b
+	return &CPUBudget{tokens: make(chan struct{}, total)}
 }
 
 // Total reports the pool size.
-func (b *CPUBudget) Total() int { return b.total }
+func (b *CPUBudget) Total() int { return cap(b.tokens) }
 
 // InUse reports how many tokens are currently held (a gauge; the value
 // is immediately stale but never exceeds Total).
-func (b *CPUBudget) InUse() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.inUse
-}
+func (b *CPUBudget) InUse() int { return len(b.tokens) }
 
-// Leases reports how many sweeps currently share the pool.
-func (b *CPUBudget) Leases() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.leases
-}
-
-// Lease registers one sweep's claim on the pool. Close it when the
-// sweep ends so its share returns to the others.
-func (b *CPUBudget) Lease() *CPULease {
-	b.mu.Lock()
-	b.leases++
-	// A new lease shrinks everyone's share; holders past the new cap
-	// drain naturally at their next Release.
-	b.mu.Unlock()
-	return &CPULease{b: b}
-}
-
-// shareLocked is the per-lease token cap under the current lease count.
-func (b *CPUBudget) shareLocked() int {
-	s := b.total / b.leases
-	if s < 1 {
-		s = 1
+// acquire blocks until a token is free or ctx is done. An already done
+// ctx fails without taking a free token.
+func (b *CPUBudget) acquire(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	return s
-}
-
-// CPULease is one sweep's handle on a CPUBudget. The sweep's workers
-// call Acquire before simulating a cell and Release after; held tokens
-// count against both the global total and the lease's fair share.
-// held is guarded by the budget's mutex.
-type CPULease struct {
-	b    *CPUBudget
-	held int
-}
-
-// Acquire blocks until a token is granted or ctx is done. A token is
-// granted when the pool has one free and this lease is under its fair
-// share; the share is re-read on every wakeup, so a lease that was
-// entitled to four tokens when it dozed off may wake entitled to one.
-func (l *CPULease) Acquire(ctx context.Context) error {
-	b := l.b
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// cond.Wait cannot select on ctx; a cancellation wakes the waiters
-	// so the ctx.Err check below can observe it.
-	stop := context.AfterFunc(ctx, func() {
-		b.mu.Lock()
-		b.cond.Broadcast()
-		b.mu.Unlock()
-	})
-	defer stop()
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if b.inUse < b.total && l.held < b.shareLocked() {
-			b.inUse++
-			l.held++
-			return nil
-		}
-		b.cond.Wait()
+	select {
+	case b.tokens <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 
-// Release returns one token to the pool.
-func (l *CPULease) Release() {
-	b := l.b
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if l.held <= 0 {
-		panic("experiments: CPULease.Release without a held token")
-	}
-	l.held--
-	b.inUse--
-	b.cond.Broadcast()
-}
-
-// Close deregisters the lease, returning any still-held tokens (a
-// defensive sweep; a well-behaved sweep released them per cell) and
-// growing the remaining leases' shares.
-func (l *CPULease) Close() {
-	b := l.b
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.inUse -= l.held
-	l.held = 0
-	b.leases--
-	b.cond.Broadcast()
-}
-
-// Held reports how many tokens the lease currently holds (tests).
-func (l *CPULease) Held() int {
-	l.b.mu.Lock()
-	defer l.b.mu.Unlock()
-	return l.held
-}
+// release returns one token to the pool.
+func (b *CPUBudget) release() { <-b.tokens }

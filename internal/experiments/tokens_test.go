@@ -3,6 +3,8 @@ package experiments
 import (
 	"context"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -51,7 +53,7 @@ func TestTokenBudgetConservation(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			_, errs[i] = RunMatrixOpts(budgetScale(), MatrixOptions{
-				Jobs:   4, // fan-out ceiling well past the fair share
+				Jobs:   4, // fan-out ceiling past the pool size
 				Budget: budget,
 			})
 		}(i)
@@ -67,9 +69,6 @@ func TestTokenBudgetConservation(t *testing.T) {
 	}
 	if got := budget.InUse(); got != 0 {
 		t.Errorf("tokens still in use after all sweeps closed: %d", got)
-	}
-	if got := budget.Leases(); got != 0 {
-		t.Errorf("leases still registered after all sweeps closed: %d", got)
 	}
 }
 
@@ -100,101 +99,102 @@ func TestBudgetGatedDeterminism(t *testing.T) {
 	}
 }
 
-// TestCPULeaseFairShare exercises the share arithmetic directly: a lone
-// lease may hold the whole pool; a second lease halves the cap; the
-// share floor keeps every lease entitled to one token.
-func TestCPULeaseFairShare(t *testing.T) {
-	b := NewCPUBudget(4)
-	ctx := context.Background()
-
-	l1 := b.Lease()
-	for i := 0; i < 4; i++ {
-		if err := l1.Acquire(ctx); err != nil {
-			t.Fatalf("lone lease acquire %d: %v", i, err)
+// waitQueued returns once n goroutines are parked in CPUBudget.acquire,
+// queued for a token. It polls the goroutine dump rather than sleeping,
+// so a test can order events after the queueing without racing it.
+func waitQueued(t *testing.T, n int) {
+	t.Helper()
+	buf := make([]byte, 1<<16)
+	for {
+		m := runtime.Stack(buf, true)
+		if m == len(buf) {
+			buf = make([]byte, 2*len(buf))
+			continue
 		}
+		queued := 0
+		for _, g := range strings.Split(string(buf[:m]), "\n\n") {
+			if strings.Contains(g, " [select") && strings.Contains(g, "(*CPUBudget).acquire(") {
+				queued++
+			}
+		}
+		if queued >= n {
+			return
+		}
+		runtime.Gosched()
 	}
-	if got := l1.Held(); got != 4 {
-		t.Fatalf("lone lease holds %d, want the whole pool", got)
-	}
-
-	// A second lease shrinks the share to 2. l1 is over cap: its next
-	// acquire must block even after it drains down to its own share,
-	// while l2 climbs to its share as l1's surplus returns.
-	l2 := b.Lease()
-	acquired := make(chan error, 1)
-	go func() { acquired <- l2.Acquire(ctx) }()
-	select {
-	case err := <-acquired:
-		t.Fatalf("l2 acquired from an exhausted pool: err=%v", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-	l1.Release()
-	if err := <-acquired; err != nil {
-		t.Fatalf("l2 acquire after l1 release: %v", err)
-	}
-	// Pool is full again (l1 holds 3, l2 holds 1): a further acquire
-	// must time out rather than succeed.
-	short, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
-	defer cancel()
-	if err := l2.Acquire(short); err != context.DeadlineExceeded {
-		t.Fatalf("acquire on a full pool returned %v, want deadline exceeded", err)
-	}
-	// Draining l1 to its share lets l2 reach its own share of 2.
-	l1.Release()
-	if err := l2.Acquire(ctx); err != nil {
-		t.Fatalf("l2 acquire up to its share: %v", err)
-	}
-	if got := l2.Held(); got != 2 {
-		t.Fatalf("l2 holds %d, want its fair share of 2", got)
-	}
-	l1.Close()
-	l2.Close()
 }
 
-// TestCPULeaseAcquireCancellation pins the cancellation path: a blocked
-// Acquire returns the context error instead of waiting forever.
-func TestCPULeaseAcquireCancellation(t *testing.T) {
+// TestBudgetJoinFullPool: a sweep that joins a pool another sweep fills
+// simulates cells before that sweep finishes. The early sweep's first
+// cell holds the only token until the late sweep is queued for it;
+// the token it returns goes to the late sweep, the longest waiter,
+// ahead of the early sweep's next cell.
+func TestBudgetJoinFullPool(t *testing.T) {
+	early, late := budgetScale(), budgetScale()
+	late.RequestsPerCore++ // tells the late sweep's cells apart
+	holding, gate := make(chan struct{}), make(chan struct{})
+	var mu sync.Mutex
+	var order []int // RequestsPerCore of each simulated cell
+	fakeRunCell(t, func(cfg system.Config) (*system.Result, error) {
+		mu.Lock()
+		order = append(order, cfg.RequestsPerCore)
+		first := len(order) == 1
+		mu.Unlock()
+		if first {
+			close(holding)
+			<-gate
+		}
+		return fakeResult(cfg), nil
+	})
+
+	budget := NewCPUBudget(1)
+	errs := make(chan error, 2)
+	sweepOn := func(sc Scale) {
+		_, err := RunMatrixOpts(sc, MatrixOptions{Jobs: 1, Budget: budget})
+		errs <- err
+	}
+	go sweepOn(early)
+	<-holding
+	go sweepOn(late)
+	waitQueued(t, 1)
+	close(gate)
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	cells := len(early.Workloads) * len(MatrixDesigns())
+	if len(order) != 2*cells {
+		t.Fatalf("simulated %d cells, want %d", len(order), 2*cells)
+	}
+	if order[0] != early.RequestsPerCore || order[1] != late.RequestsPerCore {
+		t.Errorf("first cells simulated: %v, want the early sweep's, then the late sweep's", order[:2])
+	}
+}
+
+// TestBudgetAcquireCancellation pins the cancellation path: an acquire
+// queued on a full pool returns its context's error once the context is
+// done, and an acquire under a done context fails even with a token
+// free, without taking it.
+func TestBudgetAcquireCancellation(t *testing.T) {
 	b := NewCPUBudget(1)
-	l1 := b.Lease()
-	if err := l1.Acquire(context.Background()); err != nil {
+	if err := b.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	l2 := b.Lease()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- l2.Acquire(ctx) }()
+	go func() { done <- b.acquire(ctx) }()
+	waitQueued(t, 1)
 	cancel()
-	select {
-	case err := <-done:
-		if err != context.Canceled {
-			t.Fatalf("blocked acquire returned %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled acquire never returned")
+	if err := <-done; err != context.Canceled {
+		t.Fatalf("queued acquire returned %v, want context.Canceled", err)
 	}
-	l1.Close()
-	l2.Close()
-
+	b.release()
+	if err := b.acquire(ctx); err != context.Canceled {
+		t.Fatalf("acquire under a done context returned %v, want context.Canceled", err)
+	}
 	if got := b.InUse(); got != 0 {
-		t.Errorf("tokens in use after closes: %d", got)
-	}
-}
-
-// TestCPULeaseShareFloor: with more leases than tokens, every lease is
-// still entitled to one token (share never rounds to zero), so a
-// maximally contended pool serializes instead of deadlocking.
-func TestCPULeaseShareFloor(t *testing.T) {
-	b := NewCPUBudget(1)
-	l1, l2, l3 := b.Lease(), b.Lease(), b.Lease()
-	defer l1.Close()
-	defer l2.Close()
-	defer l3.Close()
-	// Each lease in turn can acquire the lone token once the previous
-	// holder releases it.
-	for _, l := range []*CPULease{l1, l2, l3} {
-		if err := l.Acquire(context.Background()); err != nil {
-			t.Fatalf("floor acquire: %v", err)
-		}
-		l.Release()
+		t.Errorf("tokens in use after release: %d", got)
 	}
 }

@@ -31,9 +31,8 @@ const (
 
 // CellResult is the curated, deterministic summary of one (design,
 // workload) cell. It holds only values that are bit-identical between a
-// fresh run and a checkpoint-resumed one — in particular nothing about
-// which warmup path (fork vs replay) produced them — so the final
-// document is byte-identical however the job got to completion.
+// fresh run and a checkpoint-resumed one, so the final document is
+// byte-identical however the job got to completion.
 type CellResult struct {
 	Design   string `json:"design"`
 	Workload string `json:"workload"`

@@ -45,8 +45,8 @@ type Config struct {
 
 	// SimTokens sizes the shared CPU-token budget every job's matrix
 	// parallelism draws from (default runtime.GOMAXPROCS(0)): a lone job
-	// gets its full SimJobs fan-out, a deep queue degrades each job's
-	// fan-out toward its fair share so many jobs progress concurrently.
+	// gets its full SimJobs fan-out, and jobs sharing the pool take freed
+	// tokens in the order they asked, so many jobs progress concurrently.
 	SimTokens int
 
 	// MemCacheBytes bounds the in-memory result tier above the disk

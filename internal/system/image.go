@@ -24,32 +24,47 @@ import (
 // Result is the same whether its image was shared or built for it alone.
 
 // ErrIncompatibleImage reports that a WarmupImage cannot seed the given
-// configuration (different workload, seed, topology, or cache geometry).
-// Callers build a private image instead (NewWithImage with a nil image).
+// configuration: its image key differs, or the tag-store geometry does
+// not install. Callers build a private image instead (NewWithImage with
+// a nil image).
 var ErrIncompatibleImage = errors.New("system: warmup image incompatible with config")
 
-// WarmupImage is frozen post-warmup state shared by every design cell
-// of one workload. It is immutable once built: installs deep-copy the
+// ImageKey is every Config parameter the functional warmup reads: the
+// workload, seed, core count and cache geometry, as configured. Configs
+// with equal keys build identical images (TestImageKeyCoversWarmup), so
+// one image seeds them all — in the experiment matrix, every design
+// cell of a workload. Zero sizes stay zero in the key although the
+// warmup defaults them, so equal images may have unequal keys; that
+// only forgoes sharing.
+type ImageKey struct {
+	Workload workload.Spec
+	Seed     uint64
+	Cores    int
+	Capacity uint64 // DRAM-cache capacity; zero builds no tag content
+	Ways     int
+	L1, L2   uint64
+}
+
+// ImageKey reports the key of the warmup image c forks from.
+func (c *Config) ImageKey() ImageKey {
+	return ImageKey{Workload: c.Workload, Seed: c.Seed, Cores: c.Cores,
+		Capacity: c.Cache.CapacityBytes, Ways: c.Cache.Ways, L1: c.L1Bytes, L2: c.L2Bytes}
+}
+
+// WarmupImage is frozen post-warmup state shared by every config with
+// its image key. It is immutable once built: installs deep-copy the
 // streams and hierarchies and the controller copies the tag content, so
 // concurrent cells can fork from the same image.
 type WarmupImage struct {
-	// The parameters the warmup evolution depends on; a config must
-	// match all of them for the image to seed it.
-	workload string
-	cores    int
-	seed     uint64
-	capacity uint64 // normalized stream-footprint capacity
-	l1, l2   uint64 // normalized SRAM sizes
-
+	key     ImageKey
 	streams []*workload.Stream
 	hiers   []*cache.Hierarchy
 	tags    *dramcache.TagImage // nil when the config has no tag store
 }
 
-// normalized defaults the sizing knobs so an image built from one
-// design's config matches another design's. Workload footprints scale
-// against the nominal cache capacity even in the no-cache configuration,
-// so runtimes are comparable.
+// normalized defaults the unset sizing knobs the warmup runs with.
+// Workload footprints scale against the nominal cache capacity even in
+// the no-cache configuration, so runtimes are comparable.
 func (cfg *Config) normalized() (capacity, l1, l2 uint64) {
 	capacity = cfg.Cache.CapacityBytes
 	if capacity == 0 {
@@ -69,8 +84,7 @@ func (cfg *Config) normalized() (capacity, l1, l2 uint64) {
 // and freezes the result: each core's stream advances by twice its
 // footprint (at least 4096 accesses) through its SRAM hierarchy, and
 // L2 misses and dirty L2 victims evolve the DRAM-cache content. The image
-// seeds any config that matches the workload/seed/topology parameters —
-// in the experiment matrix, every design cell of the workload.
+// seeds any config with cfg's image key.
 //
 //tdlint:copier WarmupImage
 func BuildWarmupImage(cfg Config) (*WarmupImage, error) {
@@ -78,14 +92,7 @@ func BuildWarmupImage(cfg Config) (*WarmupImage, error) {
 		return nil, err
 	}
 	capacity, l1, l2 := cfg.normalized()
-	img := &WarmupImage{
-		workload: cfg.Workload.Name,
-		cores:    cfg.Cores,
-		seed:     cfg.Seed,
-		capacity: capacity,
-		l1:       l1,
-		l2:       l2,
-	}
+	img := &WarmupImage{key: cfg.ImageKey()}
 	var pw *dramcache.Prewarmer
 	if cfg.Cache.CapacityBytes > 0 {
 		var err error
@@ -137,30 +144,12 @@ func (img *WarmupImage) Bytes() int64 {
 	return n
 }
 
-// CompatibleWith reports whether the image can seed cfg; the error
-// (wrapping ErrIncompatibleImage) names the first mismatched parameter.
+// CompatibleWith reports whether the image can seed cfg: whether their
+// image keys are equal. The error wraps ErrIncompatibleImage and prints
+// both keys.
 func (img *WarmupImage) CompatibleWith(cfg Config) error {
-	mismatch := func(what string, img, cfg any) error {
-		return fmt.Errorf("%w: %s %v vs %v", ErrIncompatibleImage, what, img, cfg)
-	}
-	if img.workload != cfg.Workload.Name {
-		return mismatch("workload", img.workload, cfg.Workload.Name)
-	}
-	if img.cores != cfg.Cores {
-		return mismatch("cores", img.cores, cfg.Cores)
-	}
-	if img.seed != cfg.Seed {
-		return mismatch("seed", img.seed, cfg.Seed)
-	}
-	capacity, l1, l2 := cfg.normalized()
-	if img.capacity != capacity {
-		return mismatch("stream capacity", img.capacity, capacity)
-	}
-	if img.l1 != l1 || img.l2 != l2 {
-		return mismatch("sram sizes", fmt.Sprintf("%d/%d", img.l1, img.l2), fmt.Sprintf("%d/%d", l1, l2))
-	}
-	if img.tags == nil && cfg.Cache.CapacityBytes > 0 && cfg.Cache.Design.Cached() {
-		return fmt.Errorf("%w: image has no cache content but config has a tag store", ErrIncompatibleImage)
+	if k := cfg.ImageKey(); k != img.key {
+		return fmt.Errorf("%w: image key %+v, config key %+v", ErrIncompatibleImage, img.key, k)
 	}
 	return nil
 }

@@ -49,8 +49,8 @@ func TestForkedWarmupBitIdentical(t *testing.T) {
 	}
 }
 
-// An image must refuse to seed configs whose warmup evolution it does
-// not describe, naming ErrIncompatibleImage so callers build their own.
+// An image must refuse to seed configs with another image key, naming
+// ErrIncompatibleImage so callers build their own.
 func TestWarmupImageCompatibility(t *testing.T) {
 	base := smallConfig(t, dramcache.TDRAM, "is.C")
 	img, err := BuildWarmupImage(base)
@@ -85,7 +85,7 @@ func TestWarmupImageCompatibility(t *testing.T) {
 		}
 	}
 
-	// The tag-store geometry is checked when the content is installed.
+	// The tag-store geometry is part of the key too.
 	ways := smallConfig(t, dramcache.TDRAM, "is.C")
 	ways.Cache.Ways = 8
 	if _, err := NewWithImage(ways, img); !errors.Is(err, ErrIncompatibleImage) {
@@ -119,4 +119,60 @@ func TestWarmupImageReusable(t *testing.T) {
 	if !reflect.DeepEqual(first, second) {
 		t.Errorf("two forks of the same image diverge:\nfirst  %+v\nsecond %+v", first, second)
 	}
+}
+
+// TestImageKeyCoversWarmup guards ImageKey against drift: every Config
+// leaf field either enters the key or leaves the warmup image unchanged,
+// so configs with equal keys may share one image. Each field is mutated
+// in turn on a 1 MiB config; mutations Validate rejects are skipped,
+// and one that keeps the key must build an image DeepEqual to the base
+// config's.
+func TestImageKeyCoversWarmup(t *testing.T) {
+	base := smallConfig(t, dramcache.TDRAM, "is.C")
+	base.Cache = dramcache.DefaultConfig(dramcache.TDRAM, 1<<20)
+	baseImg, err := BuildWarmupImage(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var walk func(typ reflect.Type, index []int, path string)
+	walk = func(typ reflect.Type, index []int, path string) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			idx := append(append([]int(nil), index...), i)
+			name := path + f.Name
+			cfg := base
+			v := reflect.ValueOf(&cfg).Elem().FieldByIndex(idx)
+			switch {
+			case v.Kind() == reflect.Struct:
+				walk(f.Type, idx, name+".")
+				continue
+			case v.Kind() == reflect.Func:
+				continue // a hook, not an input: Obs.OnSample
+			case !v.CanSet():
+				t.Fatalf("%s: unexported field", name)
+			case v.Kind() == reflect.Bool:
+				v.SetBool(!v.Bool())
+			case v.CanInt():
+				v.SetInt(v.Int() + 1)
+			case v.CanUint():
+				v.SetUint(v.Uint() + 1)
+			case v.CanFloat():
+				v.SetFloat(v.Float() + 0.5)
+			case v.Kind() == reflect.String:
+				v.SetString(v.String() + "x")
+			default:
+				t.Fatalf("%s: unhandled kind %v", name, v.Kind())
+			}
+			if cfg.Validate() != nil || cfg.ImageKey() != base.ImageKey() {
+				continue
+			}
+			img, err := BuildWarmupImage(cfg)
+			if err != nil {
+				t.Errorf("Config.%s mutation: BuildWarmupImage: %v", name, err)
+			} else if !reflect.DeepEqual(img, baseImg) {
+				t.Errorf("Config.%s changes the warmup image but not ImageKey", name)
+			}
+		}
+	}
+	walk(reflect.TypeOf(base), nil, "")
 }
