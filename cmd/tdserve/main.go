@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"tdram/internal/serve"
-	"tdram/internal/sim"
 )
 
 func main() {
@@ -53,8 +52,7 @@ func main() {
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
   tdserve serve    [-addr :8344] [-dir DIR] [-queue N] [-workers N]
-                   [-sim-jobs N] [-sim-tokens N] [-mem-cache BYTES]
-                   [-deadline DUR] [-metrics DUR]
+                   [-sim-tokens N] [-deadline DUR] [-drain DUR]
 `)
 }
 
@@ -64,29 +62,17 @@ func runServe(args []string) error {
 	dir := fs.String("dir", "tdserve-store", "result store directory")
 	queue := fs.Int("queue", 8, "admission queue depth")
 	workers := fs.Int("workers", 0, "job worker-pool size (0 = max(2, GOMAXPROCS))")
-	simJobs := fs.Int("sim-jobs", 0, "matrix fan-out ceiling per job (0 = GOMAXPROCS)")
 	simTokens := fs.Int("sim-tokens", 0, "shared CPU-token budget across jobs (0 = GOMAXPROCS)")
-	memCache := fs.Int64("mem-cache", 64<<20, "in-memory result cache bound in bytes (0 = disabled)")
 	deadline := fs.Duration("deadline", 10*time.Minute, "per-job deadline")
-	metrics := fs.Duration("metrics", 0, "sampler period of simulated time streamed to /jobs/{id}/events (0 = off)")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown budget")
 	fs.Parse(args)
 
-	// The CLI's "0 disables the cache" maps to the Config convention
-	// where zero selects the default and negative disables.
-	memBytes := *memCache
-	if memBytes == 0 {
-		memBytes = -1
-	}
 	s, err := serve.NewServer(serve.Config{
-		Dir:             *dir,
-		QueueDepth:      *queue,
-		Workers:         *workers,
-		SimJobs:         *simJobs,
-		SimTokens:       *simTokens,
-		MemCacheBytes:   memBytes,
-		JobDeadline:     *deadline,
-		MetricsInterval: sim.NS(float64(metrics.Nanoseconds())),
+		Dir:         *dir,
+		QueueDepth:  *queue,
+		Workers:     *workers,
+		SimTokens:   *simTokens,
+		JobDeadline: *deadline,
 	})
 	if err != nil {
 		return err

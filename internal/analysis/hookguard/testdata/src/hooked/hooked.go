@@ -213,15 +213,15 @@ func (c *ctl) allowedCold() {
 // like the memory buses' OnX fields they are nil when streaming is off,
 // so every invocation must be guarded.
 type serveHooks struct {
-	OnSample func(tick int64, values []float64)
-	OnCell   func(key string)
+	OnRow  func(tick int64, values []float64)
+	OnCell func(key string)
 }
 
 type jobRunner struct{ hooks *serveHooks }
 
-func (j *jobRunner) guardedSample(t int64, vs []float64) {
-	if j.hooks.OnSample != nil {
-		j.hooks.OnSample(t, vs)
+func (j *jobRunner) guardedRow(t int64, vs []float64) {
+	if j.hooks.OnRow != nil {
+		j.hooks.OnRow(t, vs)
 	}
 }
 
@@ -233,8 +233,8 @@ func (j *jobRunner) guardedCellAlias(key string) {
 	cb(key)
 }
 
-func (j *jobRunner) unguardedSample(t int64, vs []float64) {
-	j.hooks.OnSample(t, vs) // want `hook callback j\.hooks\.OnSample invoked without a dominating nil check`
+func (j *jobRunner) unguardedRow(t int64, vs []float64) {
+	j.hooks.OnRow(t, vs) // want `hook callback j\.hooks\.OnRow invoked without a dominating nil check`
 }
 
 func (j *jobRunner) unguardedCellAlias(key string) {

@@ -80,20 +80,37 @@ func recordTagEv(a any, when sim.Tick) {
 	t.cc.releaseTxn(t)
 }
 
-// meterColRead accounts one column read moving bytes to the controller.
-func (cc *chanCtl) meterColRead() {
+// lineRead accounts one column read moving a line to the controller:
+// the burst to the energy meter, its 64 line bytes to the given
+// TrafficBreakdown class, and the rest of the burst to OverheadBytes.
+func (cc *chanCtl) lineRead(class *uint64) {
+	rb := cc.spec().readBytes
 	cc.ctl.meter.Cols++
-	cc.ctl.meter.Bytes += cc.spec().readBytes
+	cc.ctl.meter.Bytes += rb
+	*class += 64
+	cc.st().Traffic.OverheadBytes += rb - 64
 }
 
-func (cc *chanCtl) meterColWrite() {
+// lineWrite accounts one column write of a line, as lineRead does.
+func (cc *chanCtl) lineWrite(class *uint64) {
+	wb := cc.spec().writeBytes
 	cc.ctl.meter.Cols++
-	cc.ctl.meter.Bytes += cc.spec().writeBytes
+	cc.ctl.meter.Bytes += wb
+	*class += 64
+	cc.st().Traffic.OverheadBytes += wb - 64
+}
+
+// flushDrained accounts one flush-buffer entry streamed to the
+// controller by a drain of the given kind, counted in counter.
+func (cc *chanCtl) flushDrained(counter *uint64, kind string) {
+	*counter++
+	cc.observeFlushDrain(kind)
+	cc.st().Traffic.VictimBytes += 64
+	cc.ctl.meter.Bytes += 64
 }
 
 // issueRead handles a committed demand-read access.
 func (cc *chanCtl) issueRead(t *txn, iss dram.Issue) {
-	sp := cc.spec()
 	tr := &cc.st().Traffic
 	if cc.ctl.fault != nil && cc.readFault(t, iss) {
 		return
@@ -109,9 +126,7 @@ func (cc *chanCtl) issueRead(t *txn, iss dram.Issue) {
 		// Ideal read-hit, or a TDRAM access whose outcome a probe fixed.
 		switch t.outcome {
 		case mem.ReadHit:
-			cc.meterColRead()
-			tr.DemandBytes += 64
-			tr.OverheadBytes += sp.readBytes - 64
+			cc.lineRead(&tr.DemandBytes)
 			if r := t.req; r != nil {
 				if j := r.J; j != nil {
 					j.Span(mem.PhaseDQBurst, iss.DataEnd-iss.DataStart)
@@ -121,9 +136,7 @@ func (cc *chanCtl) issueRead(t *txn, iss dram.Issue) {
 		case mem.ReadMissDirty:
 			// Probed miss-dirty: this access fetches the dirty victim;
 			// the demand's backing fetch started at probe time.
-			cc.meterColRead()
-			tr.VictimBytes += 64
-			tr.OverheadBytes += sp.readBytes - 64
+			cc.lineRead(&tr.VictimBytes)
 			cc.at(iss.DataEnd, probedVictimEv, t)
 		default:
 			panic("dramcache: unexpected pre-known read outcome " + t.outcome.String())
@@ -132,6 +145,7 @@ func (cc *chanCtl) issueRead(t *txn, iss dram.Issue) {
 	}
 
 	// The tag check commits with this access.
+	sp := cc.spec()
 	install := true
 	if sp.dcp && !cc.ctl.tags.probe(t.line).Hit && cc.ctl.bearBypassFill(t.line) {
 		install = false
@@ -152,9 +166,7 @@ func (cc *chanCtl) issueRead(t *txn, iss dram.Issue) {
 	switch outcome {
 	case mem.ReadHit:
 		cc.ctl.scorePrefetch(t.line)
-		cc.meterColRead()
-		tr.DemandBytes += 64
-		tr.OverheadBytes += sp.readBytes - 64
+		cc.lineRead(&tr.DemandBytes)
 		if r := t.req; r != nil {
 			if j := r.J; j != nil {
 				j.Span(mem.PhaseDQBurst, iss.DataEnd-iss.DataStart)
@@ -174,9 +186,7 @@ func (cc *chanCtl) issueRead(t *txn, iss dram.Issue) {
 			// transfers nothing on a miss-clean (§VI).
 			cc.ctl.meter.Cols++
 		default:
-			cc.meterColRead()
-			tr.DiscardBytes += 64
-			tr.OverheadBytes += sp.readBytes - 64
+			cc.lineRead(&tr.DiscardBytes)
 		}
 		if install {
 			cc.ctl.markInflight(t.line)
@@ -185,9 +195,7 @@ func (cc *chanCtl) issueRead(t *txn, iss dram.Issue) {
 
 	case mem.ReadMissDirty:
 		// Dirty victim streams back with hit timing in every design.
-		cc.meterColRead()
-		tr.VictimBytes += 64
-		tr.OverheadBytes += sp.readBytes - 64
+		cc.lineRead(&tr.VictimBytes)
 		cc.ctl.markInflight(t.line)
 		cc.at(iss.DataEnd, writebackVictimEv, t)
 		cc.resolveMissRead(t, tagAt, true)
@@ -312,7 +320,6 @@ func completeReadEv(a any, when sim.Tick) {
 
 // issueWriteTagRead handles the CL-family tag-check read for a write.
 func (cc *chanCtl) issueWriteTagRead(t *txn, iss dram.Issue) {
-	sp := cc.spec()
 	tr := &cc.st().Traffic
 	if cc.ctl.fault != nil && cc.ctl.fault.DataBeat() == fault.Detected && cc.faultRetry(t, iss) {
 		return
@@ -330,15 +337,13 @@ func (cc *chanCtl) issueWriteTagRead(t *txn, iss dram.Issue) {
 	cc.st().Outcomes.Add(outcome)
 	cc.observeOutcome(outcome, iss.DataEnd)
 	cc.ctl.bearObserve(t.line, outcome)
-	cc.meterColRead()
 	if outcome == mem.WriteMissDirty {
-		tr.VictimBytes += 64
+		cc.lineRead(&tr.VictimBytes)
 	} else {
 		// Write-hit and write-miss-clean tag-read data is discarded the
 		// moment the comparison completes (§II-B3).
-		tr.DiscardBytes += 64
+		cc.lineRead(&tr.DiscardBytes)
 	}
-	tr.OverheadBytes += sp.readBytes - 64
 	cc.recordTag(t, iss.DataEnd)
 	// The data write carries the request on; the tag read is done.
 	w := cc.getTxn(txnWrite, t.req, t.line, t.bank)
@@ -375,8 +380,6 @@ func (cc *chanCtl) enqueueWriteTxn(w *txn) {
 
 // issueWrite handles a committed data write (demand write or ActWr).
 func (cc *chanCtl) issueWrite(t *txn, iss dram.Issue) {
-	sp := cc.spec()
-	tr := &cc.st().Traffic
 	if !t.outcomeKnown {
 		// NDC/TDRAM ActWr: the tag check happens in-DRAM at commit. A
 		// detected tag-mat error retries the whole ActWr (the compare,
@@ -398,9 +401,7 @@ func (cc *chanCtl) issueWrite(t *txn, iss dram.Issue) {
 			cc.pushFlush(victim)
 		}
 	}
-	cc.meterColWrite()
-	tr.DemandBytes += 64
-	tr.OverheadBytes += sp.writeBytes - 64
+	cc.lineWrite(&cc.st().Traffic.DemandBytes)
 	if r := t.req; r != nil {
 		if j := r.J; j != nil {
 			j.Exit(mem.PhaseFlushStall, iss.At)
@@ -417,9 +418,7 @@ func (cc *chanCtl) issueWrite(t *txn, iss dram.Issue) {
 
 // issueFill writes fetched miss data into the cache.
 func (cc *chanCtl) issueFill(t *txn, _ dram.Issue) {
-	cc.meterColWrite()
-	cc.st().Traffic.FillBytes += 64
-	cc.st().Traffic.OverheadBytes += cc.spec().writeBytes - 64
+	cc.lineWrite(&cc.st().Traffic.FillBytes)
 	cc.ctl.tags.fillDone(t.line)
 }
 
@@ -429,9 +428,7 @@ func (cc *chanCtl) issueVictimRead(t *txn, iss dram.Issue) {
 		return
 	}
 	cc.st().ReadQueueing.AddTick(iss.At - t.arrive)
-	cc.meterColRead()
-	cc.st().Traffic.VictimBytes += 64
-	cc.st().Traffic.OverheadBytes += cc.spec().readBytes - 64
+	cc.lineRead(&cc.st().Traffic.VictimBytes)
 	cc.at(iss.DataEnd, victimReadDoneEv, t)
 }
 
@@ -622,10 +619,7 @@ func (cc *chanCtl) drainIdleSlot(at sim.Tick) {
 	if !ok {
 		return
 	}
-	cc.st().FlushDrainIdleSlot++
-	cc.observeFlushDrain("idle-slot")
-	cc.st().Traffic.VictimBytes += 64
-	cc.ctl.meter.Bytes += 64
+	cc.flushDrained(&cc.st().FlushDrainIdleSlot, "idle-slot")
 	cc.scheduleWriteback(at, line)
 }
 
@@ -669,10 +663,7 @@ func (cc *chanCtl) refreshDrain(start, end sim.Tick) {
 		if !ok {
 			continue // the slot is spent either way
 		}
-		cc.st().FlushDrainRefresh++
-		cc.observeFlushDrain("refresh")
-		cc.st().Traffic.VictimBytes += 64
-		cc.ctl.meter.Bytes += 64
+		cc.flushDrained(&cc.st().FlushDrainRefresh, "refresh")
 		cc.ctl.writeback(line)
 	}
 }
@@ -710,13 +701,10 @@ func (cc *chanCtl) tryExplicitDrain(now sim.Tick) bool {
 	if !ok {
 		return true // the command slot was spent regardless
 	}
-	cc.st().FlushDrainExplicit++
-	cc.observeFlushDrain("explicit")
+	cc.flushDrained(&cc.st().FlushDrainExplicit, "explicit")
 	if cc.spec().hmBus {
 		cc.st().FlushStalls++
 	}
-	cc.st().Traffic.VictimBytes += 64
-	cc.ctl.meter.Bytes += 64
 	cc.ctl.writeback(line)
 	return true
 }

@@ -182,6 +182,10 @@ const (
 	writeLoWater = WriteQueueDepth / 4
 )
 
+// prefetchDegree is how many lines ahead the §V-D stride prefetcher
+// fetches once a core's stride is confident (Config.UsePrefetcher).
+const prefetchDegree = 2
+
 // Config parameterizes a Controller.
 type Config struct {
 	Design        Design
@@ -204,10 +208,8 @@ type Config struct {
 
 	// UsePrefetcher adds a per-core stride prefetcher at the DRAM-cache
 	// controller (the §V-D prefetcher study). Once a core's stride is
-	// confident, PrefetchDegree lines ahead are fetched into the cache;
-	// zero means 1.
-	UsePrefetcher  bool
-	PrefetchDegree int
+	// confident, prefetchDegree lines ahead are fetched into the cache.
+	UsePrefetcher bool
 
 	// OpenPage runs the cache device with an open-page row-buffer policy
 	// instead of the paper's close-page auto-precharge. Only meaningful

@@ -270,11 +270,7 @@ func New(s *sim.Simulator, cfg Config, mm *backing.Memory) (*Controller, error) 
 		c.predictor = predict.NewMAPI(256)
 	}
 	if cfg.UsePrefetcher {
-		deg := cfg.PrefetchDegree
-		if deg < 1 {
-			deg = 1
-		}
-		c.prefetcher = predict.NewStridePrefetcher(128, deg)
+		c.prefetcher = predict.NewStridePrefetcher(128, prefetchDegree)
 		c.prefetched = make(map[uint64]struct{})
 	}
 	return c, nil

@@ -437,7 +437,6 @@ func TestPredictorParallelFetch(t *testing.T) {
 func TestPrefetcherBringsLinesIn(t *testing.T) {
 	cfg := DefaultConfig(TDRAM, testCapacity)
 	cfg.UsePrefetcher = true
-	cfg.PrefetchDegree = 2
 	h := newHarness(t, cfg)
 	// A steady unit-stride read stream trains the prefetcher.
 	for i := uint64(0); i < 64; i++ {

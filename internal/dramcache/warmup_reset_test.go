@@ -43,7 +43,6 @@ func TestResetStatsRestartsPredictorAccuracy(t *testing.T) {
 func TestResetStatsClearsPrefetchScoring(t *testing.T) {
 	cfg := DefaultConfig(TDRAM, testCapacity)
 	cfg.UsePrefetcher = true
-	cfg.PrefetchDegree = 2
 	h := newHarness(t, cfg)
 	for i := uint64(0); i < 64; i++ {
 		h.read(1000 + i)

@@ -17,7 +17,6 @@ import (
 
 	"tdram/internal/dramcache"
 	"tdram/internal/fault"
-	"tdram/internal/obs"
 	"tdram/internal/sim"
 	"tdram/internal/stats"
 	"tdram/internal/system"
@@ -51,13 +50,6 @@ type Scale struct {
 	// watchdog trip or uncorrectable fault then dumps the last journeys
 	// and device commands.
 	FlightDepth int
-
-	// Obs is installed into every cell's system config. Observability is
-	// purely observational — results are bit-identical with it on or off
-	// — so a sweep can arm the sampler (tdserve streams its OnSample rows
-	// as job progress) without perturbing what the matrix computes.
-	// FlightDepth, when set, still overrides the flight-recorder depth.
-	Obs obs.Config
 }
 
 // defaultWatchdog is the window the stock scales arm: far beyond any
@@ -95,7 +87,6 @@ func (sc Scale) Config(d dramcache.Design, wl workload.Spec) system.Config {
 	cfg.RequestsPerCore = sc.RequestsPerCore
 	cfg.WarmupPerCore = sc.WarmupPerCore
 	cfg.Watchdog = sc.Watchdog
-	cfg.Obs = sc.Obs
 	if sc.FlightDepth > 0 {
 		cfg.Obs.FlightRecorder = sc.FlightDepth
 	}

@@ -12,7 +12,6 @@ import (
 
 	"tdram/internal/dramcache"
 	"tdram/internal/obs"
-	"tdram/internal/sim"
 	"tdram/internal/system"
 	"tdram/internal/workload"
 )
@@ -127,34 +126,6 @@ func runCellSafe(cfg system.Config, img *system.WarmupImage) (out outcome, err e
 	return runCell(cfg, img)
 }
 
-// cellKey is a cell's config minus the one incomparable field, the
-// Obs.OnSample hook, which only observes: cells with equal keys produce
-// identical outcomes, so a sweep simulates each key once.
-// TestCellKeyCoversConfig fails when a Config field is missing here.
-type cellKey struct {
-	wl                 workload.Spec
-	cache              dramcache.Config
-	trace, journeys    bool
-	metrics            sim.Tick
-	maxEvents, maxRows int
-	flight             int
-	cores, outstanding int
-	l1, l2             uint64
-	warmup, requests   int
-	watchdog           sim.Tick
-	seed               uint64
-}
-
-func keyOf(c system.Config) cellKey {
-	return cellKey{
-		wl: c.Workload, cache: c.Cache,
-		trace: c.Obs.Trace, journeys: c.Obs.Journeys, metrics: c.Obs.MetricsInterval,
-		maxEvents: c.Obs.MaxTraceEvents, maxRows: c.Obs.MaxSamples, flight: c.Obs.FlightRecorder,
-		cores: c.Cores, outstanding: c.MaxOutstanding, l1: c.L1Bytes, l2: c.L2Bytes,
-		warmup: c.WarmupPerCore, requests: c.RequestsPerCore, watchdog: c.Watchdog, seed: c.Seed,
-	}
-}
-
 // imageSlot holds one image key's (system.ImageKey) warmup image for a
 // sweep: fetched by the first worker to reach one of its cells (the
 // others wait on the Once) from the sweep's ImageCache, which builds it
@@ -187,7 +158,7 @@ func (s *imageSlot) release() {
 // cellRun is one distinct cell of a sweep.
 type cellRun struct {
 	cfg   system.Config
-	first int // index of the first swept cell with this key
+	first int // index of the first swept cell with this config
 	slot  *imageSlot
 	out   outcome
 	err   error // a *CellError
@@ -231,23 +202,22 @@ func (r *cellRun) progress() string {
 		name, d, r.out.res.Runtime, r.out.res.Cache.Outcomes.MissRatio())
 }
 
-// sweep is the one cell runner. It simulates each distinct cell (see
-// cellKey) once, forking it from its image key's shared warmup image
-// (see system.ImageKey), up to opts.Jobs at a time under opts.Budget
-// and opts.Context. The distinct cells run grouped by image key, keys
+// sweep is the one cell runner. It simulates each distinct cell config
+// once (equal configs produce identical outcomes), forking it from its
+// image key's shared warmup image (see system.ImageKey), up to
+// opts.Jobs at a time under opts.Budget and opts.Context. The distinct cells run grouped by image key, keys
 // in first-appearance order, so each image is dropped soon after it is
 // built, unless opts.Images keeps it for later sweeps. drained receives
 // every distinct cell once, in that order, from the caller's goroutine,
 // after its progress line. sweep returns the run of every input cell;
-// cells with equal keys share one.
+// equal cells share one.
 func sweep(cells []system.Config, opts MatrixOptions, drained func(*cellRun)) []*cellRun {
 	runs := make([]*cellRun, len(cells))
-	byKey := make(map[cellKey]*cellRun)
+	byConfig := make(map[system.Config]*cellRun)
 	byImage := make(map[system.ImageKey]*imageSlot)
 	var slots []*imageSlot
 	for i, cfg := range cells {
-		k := keyOf(cfg)
-		r := byKey[k]
+		r := byConfig[cfg]
 		if r == nil {
 			ik := cfg.ImageKey()
 			s := byImage[ik]
@@ -258,7 +228,7 @@ func sweep(cells []system.Config, opts MatrixOptions, drained func(*cellRun)) []
 			}
 			r = &cellRun{cfg: cfg, first: i, slot: s, done: make(chan struct{})}
 			s.cells = append(s.cells, r)
-			byKey[k] = r
+			byConfig[cfg] = r
 		}
 		runs[i] = r
 	}

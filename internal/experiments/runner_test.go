@@ -352,11 +352,11 @@ func TestMatrixProgressOrdering(t *testing.T) {
 // six set-associativity study workloads.
 func TestReproduceSimulatesEachConfigOnce(t *testing.T) {
 	var mu sync.Mutex
-	sims := map[cellKey]int{}
+	sims := map[system.Config]int{}
 	builds := map[system.ImageKey]int{}
 	fakeRunCell(t, func(cfg system.Config) (*system.Result, error) {
 		mu.Lock()
-		sims[keyOf(cfg)]++
+		sims[cfg]++
 		mu.Unlock()
 		return fakeResult(cfg), nil
 	})
@@ -396,7 +396,7 @@ func TestReproduceSimulatesEachConfigOnce(t *testing.T) {
 	}
 	for k, n := range sims {
 		if n != 1 {
-			t.Errorf("%s/%v simulated %d times", k.wl.Name, k.cache.Design, n)
+			t.Errorf("%s/%v simulated %d times", k.Workload.Name, k.Cache.Design, n)
 		}
 	}
 	if len(builds) != 52 {
@@ -463,11 +463,11 @@ func TestStudyCancelMidSweep(t *testing.T) {
 		mu.Unlock()
 		return fakeResult(cfg), nil
 	})
-	distinct := map[cellKey]bool{}
+	distinct := map[system.Config]bool{}
 	for _, e := range registry {
 		if e.study != nil {
 			for _, cfg := range e.study(sc).cells {
-				distinct[keyOf(cfg)] = true
+				distinct[cfg] = true
 			}
 		}
 	}
@@ -500,49 +500,6 @@ func TestStudyCancelMidSweep(t *testing.T) {
 			t.Errorf("%s rendered from a cancelled sweep", StudyExperiments()[i])
 		}
 	}
-}
-
-// TestCellKeyCoversConfig guards cellKey against drift: changing any
-// system.Config field but the observational Obs.OnSample hook must
-// change the key, or one sweep would merge two different cells.
-func TestCellKeyCoversConfig(t *testing.T) {
-	sc := Quick()
-	base := sc.Config(dramcache.TDRAM, sc.Workloads[0])
-	var walk func(typ reflect.Type, index []int, path string)
-	walk = func(typ reflect.Type, index []int, path string) {
-		for i := 0; i < typ.NumField(); i++ {
-			f := typ.Field(i)
-			idx := append(append([]int(nil), index...), i)
-			name := path + f.Name
-			cfg := base
-			v := reflect.ValueOf(&cfg).Elem().FieldByIndex(idx)
-			switch {
-			case v.Kind() == reflect.Struct:
-				walk(f.Type, idx, name+".")
-				continue
-			case name == "Obs.OnSample":
-				continue
-			case !v.CanSet():
-				t.Fatalf("%s: unexported field", name)
-			case v.Kind() == reflect.Bool:
-				v.SetBool(!v.Bool())
-			case v.CanInt():
-				v.SetInt(v.Int() + 1)
-			case v.CanUint():
-				v.SetUint(v.Uint() + 1)
-			case v.CanFloat():
-				v.SetFloat(v.Float() + 0.5)
-			case v.Kind() == reflect.String:
-				v.SetString(v.String() + "x")
-			default:
-				t.Fatalf("%s: unhandled kind %v", name, v.Kind())
-			}
-			if keyOf(cfg) == keyOf(base) {
-				t.Errorf("cellKey ignores Config.%s", name)
-			}
-		}
-	}
-	walk(reflect.TypeOf(base), nil, "")
 }
 
 // TestImageBuildFailure: a failed image build runs once and fails

@@ -123,7 +123,6 @@ func prefetcher(sc Scale) study {
 	designs := []dramcache.Design{dramcache.CascadeLake, dramcache.TDRAM}
 	cells := sc.variants(subset, designs, func(c *system.Config) {
 		c.Cache.UsePrefetcher = true
-		c.Cache.PrefetchDegree = 2
 	})
 	return study{cells, func(outs outcomes) *Report {
 		t := stats.NewTable("workload", "design", "speedup", "issued", "useful", "accuracy", "bloat-delta")

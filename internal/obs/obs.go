@@ -49,16 +49,6 @@ type Config struct {
 	// dumps (watchdog trips, uncorrectable faults, set retirement).
 	// Implies journey tracking.
 	FlightRecorder int
-
-	// OnSample, when non-nil, receives every recorded sampler row as it
-	// is captured: the simulated time plus one value per registered gauge
-	// (names and values share indices; both slices are reused between
-	// calls and must not be retained). It only fires when MetricsInterval
-	// is positive, from the goroutine driving the simulation. tdserve
-	// streams in-run progress to its clients from this hook; like every
-	// observer output it is purely observational — the sampled run's
-	// results are bit-identical with and without it.
-	OnSample func(t sim.Tick, names []string, values []float64)
 }
 
 // Enabled reports whether any output is requested.
@@ -96,7 +86,6 @@ func New(s *sim.Simulator, cfg Config) *Observer {
 			max = 1 << 20
 		}
 		o.sampler = newSampler(o, cfg.MetricsInterval, max)
-		o.sampler.onSample = cfg.OnSample
 		o.sampler.start(s)
 	}
 	if cfg.Journeys || cfg.FlightRecorder > 0 {

@@ -438,48 +438,3 @@ func TestSamplerMirrorsCountersIntoTrace(t *testing.T) {
 		t.Errorf("trace lacks mirrored counter track:\n%s", buf.String())
 	}
 }
-
-// TestSamplerOnSample: the streaming hook receives every captured row —
-// time plus one value per gauge, gauge order — and the sampled series
-// are unchanged by its presence (the hook observes the same values the
-// sampler stores).
-func TestSamplerOnSample(t *testing.T) {
-	s := sim.New()
-	type row struct {
-		t      sim.Tick
-		values map[string]float64
-	}
-	var rows []row
-	o := New(s, Config{
-		MetricsInterval: 1000,
-		OnSample: func(tk sim.Tick, names []string, values []float64) {
-			if len(names) != len(values) {
-				t.Fatalf("names/values length mismatch: %d vs %d", len(names), len(values))
-			}
-			r := row{t: tk, values: make(map[string]float64, len(names))}
-			for i, n := range names {
-				r.values[n] = values[i]
-			}
-			rows = append(rows, r)
-		},
-	})
-	v := 0.0
-	o.Gauge("ramp", func() float64 { v += 1; return v })
-	s.Run(3500)
-
-	if len(rows) != 3 {
-		t.Fatalf("hook fired %d times, want 3", len(rows))
-	}
-	for i, r := range rows {
-		if want := sim.Tick(1000 * (i + 1)); r.t != want {
-			t.Errorf("row %d at %v, want %v", i, r.t, want)
-		}
-		if got := r.values["ramp"]; got != float64(i+1) {
-			t.Errorf("row %d ramp = %v, want %d", i, got, i+1)
-		}
-	}
-	// The stored series saw the identical values.
-	if got := o.MetricSeries("ramp"); len(got) != 3 || got[2] != 3 {
-		t.Errorf("stored series = %v", got)
-	}
-}

@@ -26,11 +26,6 @@ type Sampler struct {
 	times   []sim.Tick
 	values  [][]float64 // values[i] is the column for names[i]
 	dropped uint64      // ticks past the row budget (reported, not stored)
-
-	// onSample, when non-nil, receives each captured row (Config.OnSample).
-	// row is its reusable argument buffer.
-	onSample func(t sim.Tick, names []string, values []float64)
-	row      []float64
 }
 
 func newSampler(o *Observer, interval sim.Tick, max int) *Sampler {
@@ -67,17 +62,9 @@ func (sp *Sampler) tick(s *sim.Simulator) {
 	}
 	now := s.Now()
 	sp.times = append(sp.times, now)
-	if sp.onSample != nil && len(sp.row) != len(sp.fns) {
-		// Gauges register lazily as components attach; size the reusable
-		// row to the current set each time it changes.
-		sp.row = make([]float64, len(sp.fns))
-	}
 	for i, fn := range sp.fns {
 		v := fn()
 		sp.values[i] = append(sp.values[i], v)
-		if sp.row != nil {
-			sp.row[i] = v
-		}
 		// Mirror each series onto a Perfetto counter track so traces and
 		// metrics line up on one timeline.
 		if sp.obs.TraceEnabled() {
@@ -86,9 +73,6 @@ func (sp *Sampler) tick(s *sim.Simulator) {
 			}
 			sp.obs.CounterFloat(sp.tracks[i], now, v)
 		}
-	}
-	if sp.onSample != nil {
-		sp.onSample(now, sp.names, sp.row)
 	}
 	s.ScheduleDaemonArg(sp.interval, samplerTickEv, sp)
 }

@@ -3,7 +3,7 @@ package predict
 // StridePrefetcher is a classic per-core stride detector with confidence
 // thresholding, used for the paper's §V-D prefetcher study: on each
 // demand read it learns the core's stride and, once confident, proposes
-// the next PrefetchDegree lines. The paper finds DRAM-cache prefetching
+// the next degree lines. The paper finds DRAM-cache prefetching
 // gains little — prefetch fills interfere with demands and consume
 // bandwidth — and the reproduction's study shows the same.
 type StridePrefetcher struct {

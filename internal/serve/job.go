@@ -158,18 +158,15 @@ func buildDoc(id, version string, ck *Checkpoint) ([]byte, error) {
 	return b, nil
 }
 
-// Event is one progress notification on a job's stream: a state change,
-// a completed cell, or a sampler row forwarded from internal/obs.
+// Event is one progress notification on a job's stream: a state change
+// or a completed cell.
 type Event struct {
-	Type   string    `json:"type"` // "state" | "cell" | "sample"
-	State  State     `json:"state,omitempty"`
-	Cell   string    `json:"cell,omitempty"`  // "workload|design", type "cell"
-	Done   int       `json:"done,omitempty"`  // cells finished so far
-	Total  int       `json:"total,omitempty"` // cells in the job
-	Error  string    `json:"error,omitempty"`
-	TimeNS float64   `json:"time_ns,omitempty"` // simulated time, type "sample"
-	Names  []string  `json:"names,omitempty"`
-	Values []float64 `json:"values,omitempty"`
+	Type  string `json:"type"` // "state" | "cell"
+	State State  `json:"state,omitempty"`
+	Cell  string `json:"cell,omitempty"`  // "workload|design", type "cell"
+	Done  int    `json:"done,omitempty"`  // cells finished so far
+	Total int    `json:"total,omitempty"` // cells in the job
+	Error string `json:"error,omitempty"`
 }
 
 // Status is a job's externally visible state snapshot.
@@ -247,15 +244,9 @@ func (j *Job) Subscribe() (<-chan Event, func()) {
 	}
 }
 
-// publish fans an event out to subscribers. Sends never block: a full
-// subscriber buffer (slow SSE client) drops the event for that
-// subscriber only. Terminal states close the channels.
-func (j *Job) publish(ev Event) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.publishLocked(ev)
-}
-
+// publishLocked fans an event out to subscribers; j.mu is held. Sends
+// never block: a full subscriber buffer (slow SSE client) drops the
+// event for that subscriber only. Terminal states close the channels.
 func (j *Job) publishLocked(ev Event) {
 	terminal := ev.Type == "state" &&
 		(ev.State == StateDone || ev.State == StateFailed || ev.State == StateInterrupted)

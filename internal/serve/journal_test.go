@@ -147,7 +147,7 @@ func TestTornJournalResumes(t *testing.T) {
 
 	// Restart 1 resumes with the two cells; shut it down after it has
 	// recorded one more (serial cells, so the rest are still pending).
-	s1, err := NewServer(Config{Dir: dir, Version: "test", SimJobs: 1})
+	s1, err := NewServer(Config{Dir: dir, Version: "test", SimTokens: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,9 +28,7 @@ import (
 // Reads go through GetOrLoad with singleflight collapsing: any number
 // of concurrent requests for one absent id trigger exactly one disk
 // read; the followers block on the leader's call and share its entry.
-// The tier is bounded in payload bytes with LRU eviction; maxBytes == 0
-// disables caching but keeps the singleflight collapse (concurrent
-// misses still coalesce their disk reads).
+// The tier is bounded in payload bytes with LRU eviction.
 type memTier struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -56,9 +54,6 @@ type flightCall struct {
 }
 
 func newMemTier(maxBytes int64) *memTier {
-	if maxBytes < 0 {
-		maxBytes = 0
-	}
 	return &memTier{
 		maxBytes: maxBytes,
 		entries:  make(map[string]*list.Element),
@@ -154,7 +149,7 @@ func (t *memTier) Remove(id string) {
 // (it would evict everything and then be evicted by the next insert);
 // the caller still serves it, just without residency.
 func (t *memTier) insertLocked(e *memEntry) {
-	if t.maxBytes == 0 || int64(len(e.payload)) > t.maxBytes {
+	if int64(len(e.payload)) > t.maxBytes {
 		return
 	}
 	if el, ok := t.entries[e.id]; ok {

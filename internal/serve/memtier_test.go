@@ -114,13 +114,13 @@ func TestMemTierSingleflight(t *testing.T) {
 	}
 }
 
-// TestMemTierDisabledKeepsSingleflight: a disabled tier (bound <= 0)
-// caches nothing but still collapses concurrent loads. Unlike the
-// resident-tier test, followers that arrive after the leader finishes
-// legitimately re-load (nothing stays cached), so the leader is pinned
-// in flight before any follower starts.
+// TestMemTierDisabledKeepsSingleflight: a tier too small for the
+// payload (bound 0) caches nothing but still collapses concurrent
+// loads. Unlike the resident-tier test, followers that arrive after the
+// leader finishes legitimately re-load (nothing stays cached), so the
+// leader is pinned in flight before any follower starts.
 func TestMemTierDisabledKeepsSingleflight(t *testing.T) {
-	tier := newMemTier(-1)
+	tier := newMemTier(0)
 	var loads atomic.Int64
 	gate := make(chan struct{})
 	inLoad := make(chan struct{})

@@ -179,7 +179,7 @@ func TestSlowSubscriberNeverBlocksPublisher(t *testing.T) {
 	// publisher must drop, not block (a slow SSE client cannot stall the
 	// simulation). The test would time out if publish blocked.
 	for i := 0; i < 10*cap(ch); i++ {
-		j.publish(Event{Type: "cell", Done: i})
+		j.cellDone("c", i)
 	}
 	j.setState(StateDone)
 	n := 0
@@ -347,7 +347,7 @@ func TestResumeFromCheckpointByteIdentical(t *testing.T) {
 	// the first cell completes. With six more cells pending, the cancel
 	// lands mid-job deterministically.
 	dir := t.TempDir()
-	s1, err := NewServer(Config{Dir: dir, Version: "test", SimJobs: 1})
+	s1, err := NewServer(Config{Dir: dir, Version: "test", SimTokens: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,10 +514,7 @@ func TestCorruptResultIsMissAndRecomputed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
 	}
-	// The memory tier is disabled so the test exercises the disk
-	// contract; a mem-resident entry would (correctly — the bytes are
-	// immutable by determinism) keep serving after on-disk corruption.
-	s := newTestServer(t, t.TempDir(), func(c *Config) { c.MemCacheBytes = -1 })
+	s := newTestServer(t, t.TempDir(), nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -542,6 +539,10 @@ func TestCorruptResultIsMissAndRecomputed(t *testing.T) {
 	}
 	raw[len(raw)/2] ^= 0xff
 	os.WriteFile(path, raw, 0o644)
+	// Evict the write-through entry so the read exercises the disk
+	// contract; a mem-resident entry would (correctly — the bytes are
+	// immutable by determinism) keep serving after on-disk corruption.
+	s.tier.Remove(id)
 
 	// Reads degrade to a miss — 404, never a 500.
 	st, err := http.Get(ts.URL + "/jobs/" + id + "/result")
@@ -572,7 +573,7 @@ func TestJobDeadlineFailsCleanly(t *testing.T) {
 		t.Skip("runs real simulations")
 	}
 	s := newTestServer(t, t.TempDir(), func(c *Config) {
-		c.SimJobs = 1
+		c.SimTokens = 1
 		c.JobDeadline = time.Millisecond
 	})
 	req := tinyRequest()
@@ -755,8 +756,8 @@ func TestMultiWorkerMatchesSingleWorker(t *testing.T) {
 		return out
 	}
 
-	serial := run(func(c *Config) { c.Workers = 1; c.SimJobs = 1; c.SimTokens = 1 })
-	pooled := run(func(c *Config) { c.Workers = 3; c.SimJobs = 4; c.SimTokens = 2 })
+	serial := run(func(c *Config) { c.Workers = 1; c.SimTokens = 1 })
+	pooled := run(func(c *Config) { c.Workers = 3; c.SimTokens = 2 })
 	for id, want := range serial {
 		if got := pooled[id]; !bytes.Equal(got, want) {
 			t.Errorf("job %s: pooled result differs from serial:\n%s\nvs\n%s", id, got, want)

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"tdram/internal/experiments"
-	"tdram/internal/obs"
 	"tdram/internal/obs/service"
 	"tdram/internal/sim"
 	"tdram/internal/system"
@@ -37,39 +36,26 @@ type Config struct {
 	// concurrency, never host oversubscription.
 	Workers int
 
-	// SimJobs bounds the matrix fan-out ceiling inside one job (default
-	// runtime.GOMAXPROCS(0), the runner's own default). How much of that
-	// fan-out actually simulates at once is decided per cell by the
-	// token budget.
-	SimJobs int
-
 	// SimTokens sizes the shared CPU-token budget every job's matrix
-	// parallelism draws from (default runtime.GOMAXPROCS(0)): a lone job
-	// gets its full SimJobs fan-out, and jobs sharing the pool take freed
-	// tokens in the order they asked, so many jobs progress concurrently.
+	// parallelism draws from (default runtime.GOMAXPROCS(0)). A job fans
+	// out to one goroutine per token, so a lone job can use the whole
+	// pool, and jobs sharing the pool take freed tokens in the order they
+	// asked, so many jobs progress concurrently.
 	SimTokens int
-
-	// MemCacheBytes bounds the in-memory result tier above the disk
-	// store. Zero selects the 64 MiB default; negative disables the
-	// tier (reads fall through to disk, still singleflight-collapsed).
-	MemCacheBytes int64
 
 	// JobDeadline bounds one job's wall-clock run (default 10 minutes).
 	// The deadline cancels the matrix sweep between cells; the job fails
 	// with an explicit deadline error instead of pinning a worker.
 	JobDeadline time.Duration
 
-	// MetricsInterval, when positive, arms the internal/obs sampler in
-	// every cell and streams its rows to the job's event subscribers
-	// (simulated time, not wall time). Purely observational: results are
-	// bit-identical with streaming on or off, which is why it lives here
-	// and not in the content-addressed Request.
-	MetricsInterval sim.Tick
-
 	// Version overrides the code-version namespace (tests). Empty
 	// selects CodeVersion(), the running executable's hash.
 	Version string
 }
+
+// memCacheBytes bounds the in-memory result tier above the disk store,
+// in result payload bytes.
+const memCacheBytes = 64 << 20
 
 // imageCacheBytes bounds the warmup images a Server keeps across jobs,
 // measured from the images' own arrays (system.WarmupImage.Bytes). A
@@ -147,13 +133,6 @@ func NewServer(cfg Config) (*Server, error) {
 			cfg.Workers = 2
 		}
 	}
-	memBytes := cfg.MemCacheBytes
-	switch {
-	case memBytes == 0:
-		memBytes = 64 << 20
-	case memBytes < 0:
-		memBytes = 0
-	}
 	version := cfg.Version
 	if version == "" {
 		version = CodeVersion()
@@ -165,7 +144,7 @@ func NewServer(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		store:   store,
-		tier:    newMemTier(memBytes),
+		tier:    newMemTier(memCacheBytes),
 		version: version,
 		workers: cfg.Workers,
 		budget:  experiments.NewCPUBudget(cfg.SimTokens),
@@ -395,25 +374,8 @@ func (s *Server) runJob(j *Job) {
 	ctx, cancel := context.WithTimeout(s.ctx, s.cfg.JobDeadline)
 	defer cancel()
 
-	sc := j.req.Scale()
-	if s.cfg.MetricsInterval > 0 {
-		sc.Obs = obs.Config{
-			MetricsInterval: s.cfg.MetricsInterval,
-			OnSample: func(t sim.Tick, names []string, values []float64) {
-				// The sampler reuses its slices; copy before they escape
-				// to subscriber channels.
-				j.publish(Event{
-					Type:   "sample",
-					TimeNS: t.Nanoseconds(),
-					Names:  append([]string(nil), names...),
-					Values: append([]float64(nil), values...),
-				})
-			},
-		}
-	}
-
 	opts := experiments.MatrixOptions{
-		Jobs:    s.cfg.SimJobs,
+		Jobs:    s.budget.Total(),
 		Budget:  s.budget,
 		Images:  s.images,
 		Context: ctx,
@@ -440,7 +402,7 @@ func (s *Server) runJob(j *Job) {
 			j.cellDone(key, len(ck.Cells))
 		},
 	}
-	_, runErr := runMatrix(sc, opts)
+	_, runErr := runMatrix(j.req.Scale(), opts)
 
 	if len(ck.Cells) == j.total {
 		doc, err := buildDoc(j.id, s.version, ck)

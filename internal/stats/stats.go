@@ -1,7 +1,6 @@
 // Package stats provides the measurement machinery shared by the
 // simulator: running means, histograms, geometric means, per-outcome
-// counters and the bandwidth-bloat accounting defined by BEAR (and used by
-// the paper's Table IV).
+// counters and table formatting.
 package stats
 
 import (
@@ -127,45 +126,6 @@ func (o *OutcomeCounts) Fractions() [mem.NumOutcomes]float64 {
 		f[i] = float64(c) / float64(t)
 	}
 	return f
-}
-
-// Traffic accounts bytes moved between a controller and a DRAM device,
-// split into useful and unuseful movement as defined by BEAR: bytes whose
-// transfer served the demand (hit data, dirty victims needing writeback,
-// demand write data, fills) are useful; tag-check reads whose data the
-// controller immediately discards (write-hits and miss-cleans in
-// tags-with-data designs) and over-fetch beyond 64 B (80 B bursts) are
-// unuseful.
-type Traffic struct {
-	UsefulBytes   uint64
-	UnusefulBytes uint64
-}
-
-// AddUseful records bytes that served the demand.
-func (t *Traffic) AddUseful(b uint64) { t.UsefulBytes += b }
-
-// AddUnuseful records discarded or over-fetched bytes.
-func (t *Traffic) AddUnuseful(b uint64) { t.UnusefulBytes += b }
-
-// Total reports all bytes moved.
-func (t *Traffic) Total() uint64 { return t.UsefulBytes + t.UnusefulBytes }
-
-// BloatFactor reports total moved / useful moved (>= 1). With no useful
-// traffic it reports 0.
-func (t *Traffic) BloatFactor() float64 {
-	if t.UsefulBytes == 0 {
-		return 0
-	}
-	return float64(t.Total()) / float64(t.UsefulBytes)
-}
-
-// UnusefulFraction reports the unuseful share of total traffic.
-func (t *Traffic) UnusefulFraction() float64 {
-	tot := t.Total()
-	if tot == 0 {
-		return 0
-	}
-	return float64(t.UnusefulBytes) / float64(tot)
 }
 
 // Table is a small fixed-column text table formatter used by the CLI and

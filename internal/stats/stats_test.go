@@ -130,35 +130,6 @@ func TestOutcomeCountsEmpty(t *testing.T) {
 	}
 }
 
-func TestTraffic(t *testing.T) {
-	var tr Traffic
-	if tr.BloatFactor() != 0 {
-		t.Error("empty bloat nonzero")
-	}
-	tr.AddUseful(64)
-	tr.AddUnuseful(64)
-	if tr.BloatFactor() != 2 {
-		t.Errorf("bloat = %v", tr.BloatFactor())
-	}
-	if tr.UnusefulFraction() != 0.5 {
-		t.Errorf("unuseful fraction = %v", tr.UnusefulFraction())
-	}
-	if tr.Total() != 128 {
-		t.Errorf("total = %d", tr.Total())
-	}
-}
-
-// Property: bloat factor is always >= 1 when useful traffic exists.
-func TestBloatAtLeastOne(t *testing.T) {
-	f := func(useful, unuseful uint16) bool {
-		tr := Traffic{UsefulBytes: uint64(useful) + 1, UnusefulBytes: uint64(unuseful)}
-		return tr.BloatFactor() >= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestTable(t *testing.T) {
 	tb := NewTable("design", "speedup")
 	tb.AddRow("tdram", 1.23456)

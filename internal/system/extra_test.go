@@ -40,7 +40,6 @@ func TestPrefetcherSystemRuns(t *testing.T) {
 	cfg.RequestsPerCore = 1500
 	cfg.WarmupPerCore = 300
 	cfg.Cache.UsePrefetcher = true
-	cfg.Cache.PrefetchDegree = 2
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -146,8 +146,6 @@ func TestImageKeyCoversWarmup(t *testing.T) {
 			case v.Kind() == reflect.Struct:
 				walk(f.Type, idx, name+".")
 				continue
-			case v.Kind() == reflect.Func:
-				continue // a hook, not an input: Obs.OnSample
 			case !v.CanSet():
 				t.Fatalf("%s: unexported field", name)
 			case v.Kind() == reflect.Bool:
