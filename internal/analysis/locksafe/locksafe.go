@@ -3,9 +3,10 @@
 // only touched with the mutex held, and atomic fields are only touched
 // atomically.
 //
-// Scope: packages whose import path ends in "serve" or "service" — the
-// wall-clock, multi-goroutine side of the tree. The simulator proper is
-// single-goroutine by construction and stays out of scope.
+// Scope: packages whose import path ends in "serve", "service" or "lru"
+// — the wall-clock, multi-goroutine side of the tree, and the cache
+// that holds tdserve's results and warmup images. The simulator proper
+// is single-goroutine by construction and stays out of scope.
 //
 // The guarded-field convention mirrors the codebase's struct layout:
 // in a struct with a field named mu of type sync.Mutex or sync.RWMutex,
@@ -43,7 +44,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "locksafe",
 	Doc: "check mu-guarded and atomic struct fields in the serving packages\n\n" +
-		"In internal/serve and internal/obs/service, fields declared after a mu\n" +
+		"In internal/serve, internal/obs/service and internal/lru, fields declared after a mu\n" +
 		"sync.Mutex sibling must be accessed under <base>.mu.Lock() domination,\n" +
 		"from a *Locked function, or on a freshly-constructed value; sync/atomic\n" +
 		"fields must only be accessed through their methods.",
@@ -52,7 +53,7 @@ var Analyzer = &analysis.Analyzer{
 
 func run(pass *analysis.Pass) (any, error) {
 	base := analysis.PathBase(pass.Pkg.Path())
-	if base != "serve" && base != "service" {
+	if base != "serve" && base != "service" && base != "lru" {
 		return nil, nil
 	}
 	fields := classifyFields(pass)
@@ -163,6 +164,10 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl, fields fieldSets) {
 		if !ok {
 			return true
 		}
+		// A field of an instantiated generic struct, such as a method's
+		// receiver, is a distinct Var when its type uses a type
+		// parameter; classifyFields saw the declared one.
+		f = f.Origin()
 		desc := fields.owner[f] + "." + f.Name()
 		switch {
 		case fields.atomics[f]:

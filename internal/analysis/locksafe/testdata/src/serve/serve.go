@@ -1,6 +1,6 @@
 // Package serve exercises locksafe: mu-guarded fields accessed without
 // the lock, the Locked-suffix and constructor exemptions, the closure
-// boundary, and the atomic-field rule.
+// boundary, generic structs, and the atomic-field rule.
 package serve
 
 import (
@@ -132,6 +132,23 @@ func (t *table) get(k string) string {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.rows[k]
+}
+
+// ---- generic structs: a field typed by a type parameter is guarded too ----
+
+type cache[K comparable, V any] struct {
+	mu   sync.Mutex
+	vals map[K]V
+}
+
+func (c *cache[K, V]) badGenericRead(k K) V {
+	return c.vals[k] // want `field cache\.vals is guarded by mu but accessed without holding it`
+}
+
+func (c *cache[K, V]) goodGenericRead(k K) V {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.vals[k]
 }
 
 // ---- allow: a documented exemption ----

@@ -1,11 +1,10 @@
 package experiments
 
 import (
-	"container/list"
 	"fmt"
 	"runtime/debug"
-	"sync"
 
+	"tdram/internal/lru"
 	"tdram/internal/system"
 )
 
@@ -18,92 +17,31 @@ import (
 // kept under a byte bound, measured from each image's own arrays
 // (system.WarmupImage.Bytes), and evicted least recently used; an image
 // larger than the whole bound serves the sweeps that asked for it and
-// is not kept. Results are bit-identical with or without a cache,
-// because a forked cell never writes to its image.
-//
-// ImageCache is safe for concurrent use.
-type ImageCache struct {
-	maxBytes int64
-
-	mu      sync.Mutex
-	size    int64
-	entries map[system.ImageKey]*cachedImage
-	lru     list.List // kept entries, most recently used first
-}
-
-// cachedImage is one key's image: being built until ready closes, then
-// kept (el != nil) or on its way out of the map.
-type cachedImage struct {
-	key   system.ImageKey
-	ready chan struct{}
-	img   *system.WarmupImage // nil when the build failed with err
-	err   error
-	bytes int64
-	el    *list.Element
-}
+// is not kept, and a failed build is not kept either. Results are
+// bit-identical with or without a cache, because a forked cell never
+// writes to its image.
+type ImageCache = lru.Cache[system.ImageKey, *system.WarmupImage]
 
 // NewImageCache builds a cache that keeps at most maxBytes of images.
 func NewImageCache(maxBytes int64) *ImageCache {
-	return &ImageCache{maxBytes: maxBytes, entries: make(map[system.ImageKey]*cachedImage)}
+	return lru.New[system.ImageKey, *system.WarmupImage](maxBytes)
 }
 
-// get returns the image of cfg's image key, building it from cfg on
-// first use. A failed build is not kept: every sweep waiting on it gets
-// its error, and the next to ask builds again. A nil cache keeps
-// nothing: every call builds.
-func (c *ImageCache) get(cfg system.Config) (*system.WarmupImage, error) {
-	if c == nil {
+// imageFor returns the image of cfg's image key from cache, building it
+// from cfg on the key's first use. A nil cache keeps nothing: every call
+// builds.
+func imageFor(cache *ImageCache, cfg system.Config) (*system.WarmupImage, error) {
+	if cache == nil {
 		return buildShared(cfg)
 	}
-	k := cfg.ImageKey()
-	c.mu.Lock()
-	if e, ok := c.entries[k]; ok {
-		if e.el != nil {
-			c.lru.MoveToFront(e.el)
+	img, _, err := cache.Get(cfg.ImageKey(), func() (*system.WarmupImage, int64, error) {
+		img, err := buildShared(cfg)
+		if err != nil {
+			return nil, 0, err
 		}
-		c.mu.Unlock()
-		<-e.ready
-		return e.img, e.err
-	}
-	e := &cachedImage{key: k, ready: make(chan struct{})}
-	c.entries[k] = e
-	c.mu.Unlock()
-
-	// The build runs outside the lock, so other keys' hits never wait
-	// for it.
-	e.img, e.err = buildShared(cfg)
-	c.mu.Lock()
-	if e.err == nil {
-		e.bytes = e.img.Bytes()
-	}
-	if e.err != nil || e.bytes > c.maxBytes {
-		delete(c.entries, k) // not kept: the next sweep to ask builds again
-	} else {
-		e.el = c.lru.PushFront(e)
-		c.size += e.bytes
-		for c.size > c.maxBytes {
-			old := c.lru.Remove(c.lru.Back()).(*cachedImage)
-			delete(c.entries, old.key)
-			c.size -= old.bytes
-		}
-	}
-	c.mu.Unlock()
-	close(e.ready)
-	return e.img, e.err
-}
-
-// Bytes reports the kept images' array bytes (gauge).
-func (c *ImageCache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.size
-}
-
-// Len reports how many images are kept (gauge).
-func (c *ImageCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
+		return img, img.Bytes(), nil
+	})
+	return img, err
 }
 
 // buildShared builds the warmup image cfg's image key shares. A failed

@@ -161,7 +161,7 @@ func TestImageCacheBound(t *testing.T) {
 		// Equal geometries make equal sizes: the bound holds two images.
 		cache := NewImageCache(2 * img.Bytes())
 		for _, name := range []string{"bt.C", "lu.C", "bt.C", "ft.C", "bt.C", "lu.C"} {
-			if img, err := cache.get(cfgs[name]); img == nil || err != nil {
+			if img, err := imageFor(cache, cfgs[name]); img == nil || err != nil {
 				t.Fatalf("%s: no image: %v", name, err)
 			}
 		}

@@ -142,7 +142,7 @@ type imageSlot struct {
 }
 
 func (s *imageSlot) get(cfg system.Config) (*system.WarmupImage, error) {
-	s.once.Do(func() { s.img, s.err = s.images.get(cfg) })
+	s.once.Do(func() { s.img, s.err = imageFor(s.images, cfg) })
 	return s.img, s.err
 }
 

@@ -19,7 +19,7 @@ const maxRequestBytes = 1 << 20
 //	GET  /jobs/{id}         job status
 //	GET  /jobs/{id}/result  the result document (200 done, 202 pending, 409 failed)
 //	GET  /jobs/{id}/events  server-sent progress events
-//	GET  /healthz           liveness + code version + queue/worker/token occupancy
+//	GET  /healthz           liveness + code version
 //	GET  /metricz           serving-tier metrics snapshot (counters, gauges, latency hists)
 //
 // POST /jobs?wait=1 blocks until the job reaches a terminal state and
@@ -119,22 +119,51 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// memEntry is one result in the memory tier: the stored bytes verbatim
+// plus the framing the hit path would otherwise recompute per request.
+// The payload is shared across requests, which is sound because it is
+// immutable: the store never rewrites a result under one code version,
+// and a new code version is a new Server with a new tier.
+type memEntry struct {
+	payload []byte
+	etag    string // strong ETag: "<id>.<code-version>", quoted
+	clen    string // strconv.Itoa(len(payload)), precomputed
+}
+
+func newMemEntry(id, version string, payload []byte) *memEntry {
+	return &memEntry{
+		payload: payload,
+		etag:    `"` + id + "." + version + `"`,
+		clen:    strconv.Itoa(len(payload)),
+	}
+}
+
+// errNoResult fails the memory tier's load of an id whose result the
+// disk store does not hold (or holds corrupt).
+var errNoResult = errors.New("serve: no stored result")
+
 // lookupResult resolves id through the two-tier store and bumps the
-// per-tier hit counters. ok=false is a full miss (no counter; the
-// caller decides whether it is a submission miss or a pending read).
+// per-tier hit counters. The tier it names is "mem" for a kept entry and
+// "disk" for a read-through, which any number of concurrent requests for
+// id share. ok=false is a full miss (no counter; the caller decides
+// whether it is a submission miss or a pending read).
 func (s *Server) lookupResult(id string) (*memEntry, string, bool) {
-	e, tier, ok := s.tier.GetOrLoad(id, s.version, func() ([]byte, bool) {
-		return s.store.GetResult(id)
+	e, hit, err := s.tier.Get(id, func() (*memEntry, int64, error) {
+		payload, ok := s.store.GetResult(id)
+		if !ok {
+			return nil, 0, errNoResult
+		}
+		return newMemEntry(id, s.version, payload), int64(len(payload)), nil
 	})
-	if !ok {
+	if err != nil {
 		return nil, "", false
 	}
-	if tier == "mem" {
+	if hit {
 		s.cMemHits.Inc()
-	} else {
-		s.cDiskHits.Inc()
+		return e, "mem", true
 	}
-	return e, tier, true
+	s.cDiskHits.Inc()
+	return e, "disk", true
 }
 
 // writeResultEntry is the zero-copy hit path: the cached entry's bytes
@@ -299,18 +328,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"ok":               true,
-		"code_version":     s.version,
-		"queue_len":        s.QueueLen(),
-		"queue_depth":      s.QueueDepth(),
-		"workers":          s.workers,
-		"workers_busy":     s.busy.Load(),
-		"tokens_total":     s.budget.Total(),
-		"tokens_inflight":  s.budget.InUse(),
-		"memcache_bytes":   s.tier.Bytes(),
-		"memcache_entries": s.tier.Len(),
-	})
+	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "code_version": s.version})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -66,54 +66,6 @@ func cellResultFrom(k experiments.Key, res *system.Result) CellResult {
 // cellKey names one cell inside a checkpoint.
 func cellKey(workload, design string) string { return workload + "|" + design }
 
-// Checkpoint is a job's durable restart state, read from its journal
-// `<id>.ckpt` (see Journal): the canonical request, from the header
-// record written at admission (so a queued-but-unstarted job survives a
-// crash too: accepted is never silently dropped), plus every cell
-// completed so far, one appended record each. Because the simulator is
-// deterministic, completed-cell results ARE a sufficient checkpoint —
-// resuming means filtering those cells out of the sweep, not replaying a
-// simulator snapshot.
-type Checkpoint struct {
-	Request Request
-	Cells   map[string]CellResult
-}
-
-// loadCheckpoint decodes id's journal. A header that is not id's
-// canonical request (a foreign or tampered entry) is an error.
-func loadCheckpoint(id string, jr *Journal) (*Checkpoint, error) {
-	ck := &Checkpoint{Cells: make(map[string]CellResult, len(jr.Cells))}
-	if err := json.Unmarshal(jr.Header, &ck.Request); err != nil {
-		return nil, fmt.Errorf("serve: checkpoint: %w", err)
-	}
-	// The stored request is already canonical, but re-canonicalizing is
-	// cheap and guards against a hand-edited store directory.
-	if err := ck.Request.Canonicalize(); err != nil {
-		return nil, fmt.Errorf("serve: checkpoint: %w", err)
-	}
-	if ck.Request.ID() != id {
-		return nil, fmt.Errorf("serve: checkpoint %s holds request %s", id, ck.Request.ID())
-	}
-	for _, rec := range jr.Cells {
-		var c CellResult
-		if err := json.Unmarshal(rec, &c); err != nil {
-			return nil, fmt.Errorf("serve: checkpoint cell: %w", err)
-		}
-		ck.Cells[cellKey(c.Workload, c.Design)] = c
-	}
-	return ck, nil
-}
-
-// marshalJSON encodes a checkpoint record: the request or a cell, both
-// structs, so the bytes are deterministic.
-func marshalJSON(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(fmt.Sprintf("serve: checkpoint record does not marshal: %v", err))
-	}
-	return b
-}
-
 // ResultDoc is the response document for a completed job. Its encoding
 // is canonical — cells in (workload, design) sweep order, struct fields
 // in declaration order — so every run of the same configuration under
@@ -184,11 +136,12 @@ type Status struct {
 }
 
 // Job is one admitted simulation request. Everything above mu is
-// immutable after newJob returns; everything below it is guarded.
+// immutable after newJob returns; everything below it is guarded. Only
+// the job's run touches its Checkpoint.
 type Job struct {
 	id    string
-	req   Request
-	total int // cells in the job; fixed by the canonical request
+	ck    *Checkpoint // from admission or recovery to the end of the run
+	total int         // cells in the job; fixed by the canonical request
 
 	mu          sync.Mutex
 	state       State
@@ -198,12 +151,13 @@ type Job struct {
 	subs        map[chan Event]struct{}
 }
 
-func newJob(id string, req Request) *Job {
+func newJob(id string, ck *Checkpoint) *Job {
 	return &Job{
 		id:    id,
-		req:   req,
+		ck:    ck,
 		state: StateQueued,
-		total: req.Cells(),
+		total: ck.Request.Cells(),
+		done:  len(ck.Cells),
 		subs:  make(map[chan Event]struct{}),
 	}
 }
@@ -269,12 +223,6 @@ func (j *Job) setState(st State) {
 	defer j.mu.Unlock()
 	j.state = st
 	j.publishLocked(Event{Type: "state", State: st, Done: j.done, Total: j.total, Error: j.err})
-}
-
-func (j *Job) setDone(n int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.done = n
 }
 
 func (j *Job) cellDone(key string, done int) {

@@ -68,12 +68,11 @@ func tearRecord(t *testing.T, st *Store, id string, payload []byte) {
 // journalCells counts the verified cell records in id's journal.
 func journalCells(t *testing.T, st *Store, id string) int {
 	t.Helper()
-	jr, err := st.OpenJournal(id)
+	ck, err := st.OpenCheckpoint(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer jr.Close()
-	return len(jr.Cells)
+	return len(ck.Cells)
 }
 
 // TestTornJournalResumes: a journal holding its header, two cell records
@@ -130,19 +129,18 @@ func TestTornJournalResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.PutCheckpoint(id, marshalJSON(&req)); err != nil {
-		t.Fatal(err)
-	}
-	jr, err := st.OpenJournal(id)
+	ck, err := st.CreateCheckpoint(id, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range doc.Cells[:2] {
-		if err := jr.Append(marshalJSON(&c)); err != nil {
+		if err := ck.Add(c); err != nil {
 			t.Fatal(err)
 		}
 	}
-	jr.Close()
+	if err := ck.Close(); err != nil {
+		t.Fatal(err)
+	}
 	tearRecord(t, st, id, marshalJSON(&doc.Cells[2]))
 
 	// Restart 1 resumes with the two cells; shut it down after it has
@@ -206,7 +204,7 @@ wait:
 	if !bytes.Equal(got, want) {
 		t.Errorf("resumed result differs from an uninterrupted run:\n%s\nvs\n%s", got, want)
 	}
-	if _, ok := s2.Store().GetCheckpoint(id); ok {
+	if _, err := s2.Store().OpenCheckpoint(id); err == nil {
 		t.Error("checkpoint not cleaned up after completion")
 	}
 }

@@ -159,8 +159,8 @@ func TestStoreCrashSafetyAndCorruption(t *testing.T) {
 	}
 
 	// Checkpoint listing sees exactly the checkpoints.
-	st.PutCheckpoint("b", []byte("x"))
-	st.PutCheckpoint("a", []byte("y"))
+	st.CreateCheckpoint("b", tinyRequest())
+	st.CreateCheckpoint("a", tinyRequest())
 	ids := st.Checkpoints()
 	if len(ids) != 2 || ids[0] != "a" || ids[1] != "b" {
 		t.Errorf("Checkpoints() = %v", ids)
@@ -171,8 +171,63 @@ func TestStoreCrashSafetyAndCorruption(t *testing.T) {
 	}
 }
 
+func TestMemTierEntryFraming(t *testing.T) {
+	e := newMemEntry("abc", "v9", []byte(`{"k":1}`))
+	if e.etag != `"abc.v9"` {
+		t.Errorf("etag = %s, want quoted id.version", e.etag)
+	}
+	if e.clen != "7" {
+		t.Errorf("clen = %s, want 7", e.clen)
+	}
+}
+
+// TestMemTierSingleflight: concurrent reads of a result that is on disk
+// but not in memory share one disk read's entry, and the read after
+// them is a memory hit.
+func TestMemTierSingleflight(t *testing.T) {
+	s := newTestServer(t, t.TempDir(), nil)
+	if err := s.Store().PutResult("id1", []byte(`{"k":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	const callers = 16
+	entries := make([]*memEntry, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			e, tier, ok := s.lookupResult("id1")
+			if !ok || (tier != "disk" && tier != "mem") {
+				t.Errorf("caller %d: tier=%q ok=%v, want a disk or memory hit", i, tier, ok)
+			}
+			entries[i] = e
+		}(i)
+	}
+	wg.Wait()
+	for i := 1; i < callers; i++ {
+		if entries[i] != entries[0] {
+			t.Fatalf("caller %d got a different entry instance", i)
+		}
+	}
+	if _, tier, ok := s.lookupResult("id1"); !ok || tier != "mem" {
+		t.Errorf("read after the disk read: tier=%q ok=%v, want a memory hit", tier, ok)
+	}
+}
+
+// TestMemTierLoadMiss: an id stored in neither tier is a miss, and the
+// miss is not kept.
+func TestMemTierLoadMiss(t *testing.T) {
+	s := newTestServer(t, t.TempDir(), nil)
+	if _, _, ok := s.lookupResult("nope"); ok {
+		t.Error("miss reported as hit")
+	}
+	if got := s.tier.Len(); got != 0 {
+		t.Errorf("miss left %d resident entries", got)
+	}
+}
+
 func TestSlowSubscriberNeverBlocksPublisher(t *testing.T) {
-	j := newJob("x", tinyRequest())
+	j := newJob("x", &Checkpoint{Request: tinyRequest()})
 	ch, cancel := j.Subscribe()
 	defer cancel()
 	// Publish far past the subscriber's buffer without draining it: the
@@ -382,8 +437,8 @@ wait:
 	if st := j1.Status().State; st != StateInterrupted {
 		t.Fatalf("interrupted job state = %s, want %s", st, StateInterrupted)
 	}
-	if _, ok := s1.Store().GetCheckpoint(id); !ok {
-		t.Fatal("interrupted job left no checkpoint")
+	if _, err := s1.Store().OpenCheckpoint(id); err != nil {
+		t.Fatalf("interrupted job left no checkpoint: %v", err)
 	}
 
 	// Restart over the same directory: recovery must re-queue the job
@@ -406,7 +461,7 @@ wait:
 	if !bytes.Equal(got, want) {
 		t.Errorf("resumed result differs from uninterrupted run:\n%s\nvs\n%s", got, want)
 	}
-	if _, ok := s2.Store().GetCheckpoint(id); ok {
+	if _, err := s2.Store().OpenCheckpoint(id); err == nil {
 		t.Error("checkpoint not cleaned up after completion")
 	}
 }
@@ -486,12 +541,12 @@ func TestQueueSaturationRejectsWith429(t *testing.T) {
 	// still-queued B survives a crash. C left nothing behind.
 	rb2 := rb
 	rb2.Canonicalize()
-	if _, ok := s.Store().GetCheckpoint(rb2.ID()); !ok {
-		t.Error("queued job B has no checkpoint")
+	if _, err := s.Store().OpenCheckpoint(rb2.ID()); err != nil {
+		t.Errorf("queued job B has no checkpoint: %v", err)
 	}
 	rc2 := rc
 	rc2.Canonicalize()
-	if _, ok := s.Store().GetCheckpoint(rc2.ID()); ok {
+	if _, err := s.Store().OpenCheckpoint(rc2.ID()); err == nil {
 		t.Error("rejected job C left a checkpoint")
 	}
 
@@ -514,7 +569,8 @@ func TestCorruptResultIsMissAndRecomputed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
 	}
-	s := newTestServer(t, t.TempDir(), nil)
+	dir := t.TempDir()
+	s := newTestServer(t, dir, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -539,13 +595,16 @@ func TestCorruptResultIsMissAndRecomputed(t *testing.T) {
 	}
 	raw[len(raw)/2] ^= 0xff
 	os.WriteFile(path, raw, 0o644)
-	// Evict the write-through entry so the read exercises the disk
-	// contract; a mem-resident entry would (correctly — the bytes are
-	// immutable by determinism) keep serving after on-disk corruption.
-	s.tier.Remove(id)
+	// s's memory tier holds the write-through entry and would (correctly
+	// — the bytes are immutable by determinism) keep serving it after
+	// on-disk corruption. The tier is per process, so a second server
+	// over the same store reads the disk copy.
+	s2 := newTestServer(t, dir, nil)
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
 
 	// Reads degrade to a miss — 404, never a 500.
-	st, err := http.Get(ts.URL + "/jobs/" + id + "/result")
+	st, err := http.Get(ts2.URL + "/jobs/" + id + "/result")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +614,7 @@ func TestCorruptResultIsMissAndRecomputed(t *testing.T) {
 	}
 
 	// Re-submission re-simulates and reproduces the identical document.
-	resp2, err := http.Post(ts.URL+"/jobs?wait=1", "application/json", bytes.NewReader(body))
+	resp2, err := http.Post(ts2.URL+"/jobs?wait=1", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -588,7 +647,7 @@ func TestJobDeadlineFailsCleanly(t *testing.T) {
 	if msg := j.Status().Error; !strings.Contains(msg, "deadline exceeded") {
 		t.Errorf("failure does not name the deadline: %q", msg)
 	}
-	if _, ok := s.Store().GetCheckpoint(req.ID()); ok {
+	if _, err := s.Store().OpenCheckpoint(req.ID()); err == nil {
 		t.Error("failed job left a checkpoint behind")
 	}
 }

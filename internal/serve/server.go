@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"tdram/internal/experiments"
+	"tdram/internal/lru"
 	"tdram/internal/obs/service"
 	"tdram/internal/sim"
 	"tdram/internal/system"
@@ -54,7 +55,10 @@ type Config struct {
 }
 
 // memCacheBytes bounds the in-memory result tier above the disk store,
-// in result payload bytes.
+// in result payload bytes. The tier exists because a disk hit still
+// pays a file read, a checksum pass and response framing per request,
+// while the critical path of a hot hit should be one map lookup and one
+// socket write (see memEntry).
 const memCacheBytes = 64 << 20
 
 // imageCacheBytes bounds the warmup images a Server keeps across jobs,
@@ -83,7 +87,7 @@ var (
 type Server struct {
 	cfg     Config
 	store   *Store
-	tier    *memTier
+	tier    *lru.Cache[string, *memEntry] // results by id, above store
 	version string
 	workers int
 
@@ -144,7 +148,7 @@ func NewServer(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		store:   store,
-		tier:    newMemTier(memCacheBytes),
+		tier:    lru.New[string, *memEntry](memCacheBytes),
 		version: version,
 		workers: cfg.Workers,
 		budget:  experiments.NewCPUBudget(cfg.SimTokens),
@@ -209,18 +213,11 @@ func (s *Server) recover() []*Job {
 			s.store.DeleteCheckpoint(id)
 			continue
 		}
-		jr, err := s.store.OpenJournal(id)
+		ck, err := s.store.OpenCheckpoint(id)
 		if err != nil {
-			continue // corrupt: treated exactly like no checkpoint
+			continue // corrupt, foreign or tampered: treated exactly like no checkpoint
 		}
-		ck, err := loadCheckpoint(id, jr)
-		jr.Close()
-		if err != nil {
-			continue // foreign or tampered entry
-		}
-		j := newJob(id, ck.Request)
-		j.setDone(len(ck.Cells))
-		jobs = append(jobs, j)
+		jobs = append(jobs, newJob(id, ck))
 	}
 	return jobs
 }
@@ -299,23 +296,20 @@ func (s *Server) Admit(id string, req Request) (*Job, error) {
 		// A failed job (done jobs are forgotten): a resubmission retries it.
 	}
 	// Durable-before-acknowledged: the journal's header record makes a
-	// queued-but-unstarted job survive a crash. Skip the write when a
-	// previous incarnation already checkpointed progress for this id.
-	_, hadCheckpoint := s.store.GetCheckpoint(id)
-	if !hadCheckpoint {
-		if err := s.store.PutCheckpoint(id, marshalJSON(&req)); err != nil {
-			return nil, err
-		}
+	// queued-but-unstarted job survive a crash. Recovery claimed every
+	// journal a previous process left that verifies, so a new job always
+	// starts a fresh one.
+	ck, err := s.store.CreateCheckpoint(id, req)
+	if err != nil {
+		return nil, err
 	}
-	j := newJob(id, req)
+	j := newJob(id, ck)
 	select {
 	case s.queue <- j:
 	default:
 		// Rejected is the opposite of accepted: leave no trace a future
 		// recovery would mistake for an admitted job.
-		if !hadCheckpoint {
-			s.store.DeleteCheckpoint(id)
-		}
+		s.store.DeleteCheckpoint(id)
 		return nil, ErrQueueFull
 	}
 	s.jobs[id] = j
@@ -356,6 +350,8 @@ func (s *Server) runJobSupervised(j *Job) {
 }
 
 func (s *Server) runJob(j *Job) {
+	ck := j.ck
+	defer ck.Close()
 	// A previous incarnation may have finished this configuration
 	// already; serving it beats re-simulating it.
 	if _, ok := s.store.GetResult(j.id); ok {
@@ -363,12 +359,6 @@ func (s *Server) runJob(j *Job) {
 		s.finish(j)
 		return
 	}
-
-	jr, ck := s.openCheckpoint(j)
-	if jr != nil {
-		defer jr.Close()
-	}
-	j.setDone(len(ck.Cells))
 	j.setState(StateRunning)
 
 	ctx, cancel := context.WithTimeout(s.ctx, s.cfg.JobDeadline)
@@ -388,21 +378,17 @@ func (s *Server) runJob(j *Job) {
 				return // cancellation or a cell failure; classified after the sweep
 			}
 			c := cellResultFrom(k, res)
-			key := cellKey(c.Workload, c.Design)
-			ck.Cells[key] = c
 			// Per-cell durability: a SIGKILL from here on loses at most
 			// the cell currently in flight. A failed append degrades the
 			// checkpoint, not the job — ck still holds the cell in
 			// memory, so an uninterrupted run completes normally.
-			if jr != nil {
-				_ = jr.Append(marshalJSON(&c))
-			}
+			_ = ck.Add(c)
 			s.drain.note(wallNow())
 			s.cCells.Inc()
-			j.cellDone(key, len(ck.Cells))
+			j.cellDone(cellKey(c.Workload, c.Design), len(ck.Cells))
 		},
 	}
-	_, runErr := runMatrix(j.req.Scale(), opts)
+	_, runErr := runMatrix(ck.Request.Scale(), opts)
 
 	if len(ck.Cells) == j.total {
 		doc, err := buildDoc(j.id, s.version, ck)
@@ -419,7 +405,7 @@ func (s *Server) runJob(j *Job) {
 		}
 		// Write-through: the first GET after a simulation is already a
 		// memory hit, and the bytes it serves are the bytes just stored.
-		s.tier.Put(j.id, s.version, doc)
+		s.tier.Put(j.id, newMemEntry(j.id, s.version, doc), int64(len(doc)))
 		s.store.DeleteCheckpoint(j.id)
 		s.finish(j)
 		return
@@ -453,26 +439,6 @@ func (s *Server) runJob(j *Job) {
 		return
 	}
 	j.fail(runErr.Error(), diagnostics)
-}
-
-// openCheckpoint opens j's checkpoint journal and loads the cells it
-// holds. A missing or unreadable journal is started afresh; if even
-// that fails, the job runs without one (nil Journal) and a crash would
-// restart it from tick 0.
-func (s *Server) openCheckpoint(j *Job) (*Journal, *Checkpoint) {
-	if jr, err := s.store.OpenJournal(j.id); err == nil {
-		if ck, err := loadCheckpoint(j.id, jr); err == nil {
-			return jr, ck // resume: completed cells are skipped by the sweep
-		}
-		jr.Close()
-	}
-	ck := &Checkpoint{Request: j.req, Cells: make(map[string]CellResult)}
-	if s.store.PutCheckpoint(j.id, marshalJSON(&j.req)) == nil {
-		if jr, err := s.store.OpenJournal(j.id); err == nil {
-			return jr, ck
-		}
-	}
-	return nil, ck
 }
 
 // finish marks j done and forgets it: from here on the stored result

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -19,7 +19,7 @@ import (
 // temp file, fsync, atomic rename into place, fsync the directory — so a
 // SIGKILL at any instant leaves either the old entry, the new entry, or
 // a stray temp file, never a half-written entry under a live name. A
-// checkpoint grows after its header by appended records (see Journal).
+// checkpoint grows after its header by appended records (see Checkpoint).
 // Reads verify the embedded SHA-256: a corrupt or truncated entry (torn
 // disk, operator accident) is indistinguishable from a miss to callers,
 // so the job simply re-simulates; corruption is never a 500.
@@ -62,25 +62,6 @@ func (s *Store) PutResult(id string, payload []byte) error {
 	return writeVerified(s.resultPath(id), payload)
 }
 
-// GetCheckpoint returns the header payload of id's checkpoint journal,
-// or ok=false when there is none (or its header is corrupt: a bad
-// checkpoint degrades to restarting the job from tick 0, exactly like no
-// checkpoint at all).
-func (s *Store) GetCheckpoint(id string) (header []byte, ok bool) {
-	data, err := os.ReadFile(s.checkpointPath(id))
-	if err != nil {
-		return nil, false
-	}
-	header, _, ok = record(data)
-	return header, ok
-}
-
-// PutCheckpoint starts id's checkpoint journal, replacing any it had,
-// with header as its one record, written crash-safely.
-func (s *Store) PutCheckpoint(id string, header []byte) error {
-	return writeVerified(s.checkpointPath(id), header)
-}
-
 // DeleteCheckpoint removes id's checkpoint (after its result landed).
 func (s *Store) DeleteCheckpoint(id string) {
 	os.Remove(s.checkpointPath(id))
@@ -102,70 +83,123 @@ func (s *Store) Checkpoints() []string {
 	return ids
 }
 
-// Journal is a checkpoint journal, `<id>.ckpt`, open for appending: the
-// header record PutCheckpoint wrote, then one record per finished cell,
-// each framed like a store entry. A crash mid-append tears at most the
-// last record, and its checksum shows it.
-type Journal struct {
-	Header []byte   // the header record's payload
-	Cells  [][]byte // the verified cell records' payloads, in order
-	f      *os.File
+// Checkpoint is a job's durable restart state, its journal
+// `<id>.ckpt`: a header record holding the canonical request, written at
+// admission (so a queued-but-unstarted job survives a crash too:
+// accepted is never silently dropped), then one CellResult record per
+// finished cell, each framed like a store entry. A crash mid-append
+// tears at most the last record, and its checksum shows it. Because the
+// simulator is deterministic, completed-cell results ARE a sufficient
+// checkpoint — resuming means filtering those cells out of the sweep,
+// not replaying a simulator snapshot.
+//
+// A Checkpoint belongs to one job, and only its run touches it: the
+// journal opens for appending at the first Add and closes at Close.
+type Checkpoint struct {
+	Request Request
+	Cells   map[string]CellResult // by cellKey
+
+	path string
+	f    *os.File // nil until the first Add
 }
 
-// OpenJournal opens id's checkpoint journal for appending. Only its
-// verified prefix counts: the first record that does not verify ends
-// it, and OpenJournal truncates the file there, so the next Append
-// extends the prefix. It fails when there is no journal or its header
-// does not verify.
-func (s *Store) OpenJournal(id string) (_ *Journal, err error) {
-	f, err := os.OpenFile(s.checkpointPath(id), os.O_RDWR|os.O_APPEND, 0)
-	if err != nil {
-		return nil, fmt.Errorf("serve: journal: %w", err)
+// CreateCheckpoint starts id's journal with req as its header, written
+// crash-safely, replacing any journal id had.
+func (s *Store) CreateCheckpoint(id string, req Request) (*Checkpoint, error) {
+	path := s.checkpointPath(id)
+	if err := writeVerified(path, marshalJSON(&req)); err != nil {
+		return nil, err
 	}
-	defer func() {
-		if err != nil {
-			f.Close()
-		}
-	}()
-	data, err := io.ReadAll(f)
+	return &Checkpoint{Request: req, Cells: make(map[string]CellResult), path: path}, nil
+}
+
+// OpenCheckpoint reads id's journal back. Only its verified prefix
+// counts: the first record that does not verify ends it, and
+// OpenCheckpoint truncates the file there, so the next Add extends the
+// prefix. It fails when there is no journal, when its header does not
+// verify or is not id's canonical request (a foreign or tampered entry),
+// or when a verified cell record does not decode.
+func (s *Store) OpenCheckpoint(id string) (*Checkpoint, error) {
+	path := s.checkpointPath(id)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("serve: journal read: %w", err)
+		return nil, fmt.Errorf("serve: checkpoint: %w", err)
 	}
 	header, rest, ok := record(data)
 	if !ok {
-		return nil, fmt.Errorf("serve: journal %s: header does not verify", id)
+		return nil, fmt.Errorf("serve: checkpoint %s: header does not verify", id)
 	}
-	j := &Journal{Header: header, f: f}
+	ck := &Checkpoint{Cells: make(map[string]CellResult), path: path}
+	if err := json.Unmarshal(header, &ck.Request); err != nil {
+		return nil, fmt.Errorf("serve: checkpoint: %w", err)
+	}
+	// The stored request is already canonical, but re-canonicalizing is
+	// cheap and guards against a hand-edited store directory.
+	if err := ck.Request.Canonicalize(); err != nil {
+		return nil, fmt.Errorf("serve: checkpoint: %w", err)
+	}
+	if ck.Request.ID() != id {
+		return nil, fmt.Errorf("serve: checkpoint %s holds request %s", id, ck.Request.ID())
+	}
 	for len(rest) > 0 {
-		cell, next, ok := record(rest)
+		rec, next, ok := record(rest)
 		if !ok {
-			// A torn tail. The next Append's fsync makes the cut durable
+			// A torn tail. The next Add's fsync makes the cut durable
 			// together with the record it writes.
-			if err := f.Truncate(int64(len(data) - len(rest))); err != nil {
-				return nil, fmt.Errorf("serve: journal truncate: %w", err)
+			if err := os.Truncate(path, int64(len(data)-len(rest))); err != nil {
+				return nil, fmt.Errorf("serve: checkpoint truncate: %w", err)
 			}
 			break
 		}
-		j.Cells = append(j.Cells, cell)
+		var c CellResult
+		if err := json.Unmarshal(rec, &c); err != nil {
+			return nil, fmt.Errorf("serve: checkpoint cell: %w", err)
+		}
+		ck.Cells[cellKey(c.Workload, c.Design)] = c
 		rest = next
 	}
-	return j, nil
+	return ck, nil
 }
 
-// Append adds one record to the journal and syncs it: once Append
-// returns, the record survives a crash.
-func (j *Journal) Append(payload []byte) error {
-	if _, err := j.f.Write(frame(payload)); err != nil {
-		return fmt.Errorf("serve: journal append: %w", err)
+// Add records a finished cell in ck.Cells, then appends its record to
+// the journal and syncs it: once Add returns nil, the cell survives a
+// crash.
+func (ck *Checkpoint) Add(c CellResult) error {
+	ck.Cells[cellKey(c.Workload, c.Design)] = c
+	if ck.f == nil {
+		f, err := os.OpenFile(ck.path, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			return fmt.Errorf("serve: checkpoint: %w", err)
+		}
+		ck.f = f
 	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("serve: journal sync: %w", err)
+	if _, err := ck.f.Write(frame(marshalJSON(&c))); err != nil {
+		return fmt.Errorf("serve: checkpoint append: %w", err)
+	}
+	if err := ck.f.Sync(); err != nil {
+		return fmt.Errorf("serve: checkpoint sync: %w", err)
 	}
 	return nil
 }
 
-// Close closes the journal's file.
-func (j *Journal) Close() error { return j.f.Close() }
+// Close closes the journal's file, if Add opened it. Every record Add
+// wrote is already synced.
+func (ck *Checkpoint) Close() error {
+	if ck.f == nil {
+		return nil
+	}
+	return ck.f.Close()
+}
+
+// marshalJSON encodes a checkpoint record: the request or a cell, both
+// structs, so the bytes are deterministic.
+func marshalJSON(v any) []byte {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic(fmt.Sprintf("serve: checkpoint record does not marshal: %v", err))
+	}
+	return b
+}
 
 // frame returns payload framed as one store record:
 // "tdstore1 <sha256-hex> <len>\n" followed by the payload.

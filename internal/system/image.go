@@ -30,25 +30,22 @@ import (
 var ErrIncompatibleImage = errors.New("system: warmup image incompatible with config")
 
 // ImageKey is every Config parameter the functional warmup reads: the
-// workload, seed, core count and cache geometry, as configured. Configs
-// with equal keys build identical images (TestImageKeyCoversWarmup), so
-// one image seeds them all — in the experiment matrix, every design
-// cell of a workload. Zero sizes stay zero in the key although the
-// warmup defaults them, so equal images may have unequal keys; that
-// only forgoes sharing.
+// workload, seed, core count and DRAM-cache geometry, as configured.
+// Configs with equal keys build identical images
+// (TestImageKeyCoversWarmup), so one image seeds them all — in the
+// experiment matrix, every design cell of a workload.
 type ImageKey struct {
 	Workload workload.Spec
 	Seed     uint64
 	Cores    int
 	Capacity uint64 // DRAM-cache capacity; zero builds no tag content
 	Ways     int
-	L1, L2   uint64
 }
 
 // ImageKey reports the key of the warmup image c forks from.
 func (c *Config) ImageKey() ImageKey {
 	return ImageKey{Workload: c.Workload, Seed: c.Seed, Cores: c.Cores,
-		Capacity: c.Cache.CapacityBytes, Ways: c.Cache.Ways, L1: c.L1Bytes, L2: c.L2Bytes}
+		Capacity: c.Cache.CapacityBytes, Ways: c.Cache.Ways}
 }
 
 // WarmupImage is frozen post-warmup state shared by every config with
@@ -62,23 +59,13 @@ type WarmupImage struct {
 	tags    *dramcache.TagImage // nil when the config has no tag store
 }
 
-// normalized defaults the unset sizing knobs the warmup runs with.
-// Workload footprints scale against the nominal cache capacity even in
-// the no-cache configuration, so runtimes are comparable.
-func (cfg *Config) normalized() (capacity, l1, l2 uint64) {
-	capacity = cfg.Cache.CapacityBytes
-	if capacity == 0 {
-		capacity = 64 << 20
-	}
-	l1, l2 = cfg.L1Bytes, cfg.L2Bytes
-	if l1 == 0 {
-		l1 = 4 << 10
-	}
-	if l2 == 0 {
-		l2 = 64 << 10
-	}
-	return capacity, l1, l2
-}
+// l1Bytes and l2Bytes size each core's SRAM stack: the Table III sizes
+// scaled down along with the DRAM cache capacity, so the SRAM levels
+// absorb a proportionate share of reuse.
+const (
+	l1Bytes = 4 << 10
+	l2Bytes = 64 << 10
+)
 
 // BuildWarmupImage runs the functional warmup pass for cfg's workload
 // and freezes the result: each core's stream advances by twice its
@@ -91,7 +78,12 @@ func BuildWarmupImage(cfg Config) (*WarmupImage, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	capacity, l1, l2 := cfg.normalized()
+	// Workload footprints scale against the nominal cache capacity even
+	// in the no-cache configuration, so runtimes are comparable.
+	capacity := cfg.Cache.CapacityBytes
+	if capacity == 0 {
+		capacity = 64 << 20
+	}
 	img := &WarmupImage{key: cfg.ImageKey()}
 	var pw *dramcache.Prewarmer
 	if cfg.Cache.CapacityBytes > 0 {
@@ -103,7 +95,7 @@ func BuildWarmupImage(cfg Config) (*WarmupImage, error) {
 	var n int
 	for i := 0; i < cfg.Cores; i++ {
 		st := cfg.Workload.NewStream(i, cfg.Cores, capacity, cfg.Seed)
-		hier := cache.NewSizedHierarchy(l1, l2)
+		hier := cache.NewSizedHierarchy(l1Bytes, l2Bytes)
 		if pw != nil {
 			// Dirty L2 victims reach the tag store during the access,
 			// before the miss does, as a running core's writebacks reach

@@ -71,7 +71,6 @@ func TestWarmupImageCompatibility(t *testing.T) {
 		"cores":    func(c *Config) { c.Cores = 4 },
 		"seed":     func(c *Config) { c.Seed = 99 },
 		"capacity": func(c *Config) { c.Cache.CapacityBytes = 1 << 20 },
-		"l2":       func(c *Config) { c.L2Bytes = 128 << 10 },
 	}
 	for name, mutate := range mutations {
 		cfg := smallConfig(t, dramcache.TDRAM, "is.C")

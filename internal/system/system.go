@@ -32,11 +32,6 @@ type Config struct {
 	Cores          int // Table III: 8
 	MaxOutstanding int // per-core in-flight DRAM-cache reads (MSHR-style MLP)
 
-	// L1Bytes/L2Bytes size the per-core SRAM stack. The defaults are the
-	// Table III sizes scaled down along with the DRAM cache capacity, so
-	// the SRAM levels absorb a proportionate share of reuse.
-	L1Bytes, L2Bytes uint64
-
 	// WarmupPerCore accesses are simulated with timing but excluded from
 	// measurement, warming queues and device state. They start from the
 	// functionally warmed caches of a WarmupImage (see BuildWarmupImage).
@@ -62,8 +57,6 @@ func DefaultConfig(d dramcache.Design, wl workload.Spec, cacheBytes uint64) Conf
 		Cache:           dramcache.DefaultConfig(d, cacheBytes),
 		Cores:           8,
 		MaxOutstanding:  8,
-		L1Bytes:         4 << 10,
-		L2Bytes:         64 << 10,
 		WarmupPerCore:   1000,
 		RequestsPerCore: 12000,
 		Seed:            1,
