@@ -39,17 +39,17 @@ func TestDirectiveHygiene(t *testing.T) {
 
 // TestSeededMutation proves the analyzer catches real drift: in a copy
 // of internal/cache (directives included) it deletes the one line of
-// Cache.Clone that deep-copies the tag array — the copy every forked
+// Cache.Clone that deep-copies the line array — the copy every forked
 // warmup image depends on — and asserts the now-shared slice is
 // reported.
 func TestSeededMutation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("copies and type-checks a real package")
 	}
-	const victim = "\td.tags = append([]uint64(nil), c.tags...)\n"
+	const victim = "\td.lines = append([]uint64(nil), c.lines...)\n"
 	fs := analysistest.Mutate(t, copydrift.Analyzer, filepath.Join("..", "..", "cache"), "cache.go", victim, "")
 	if len(fs) != 1 || filepath.Base(fs[0].Pos.Filename) != "cache.go" ||
-		!strings.Contains(fs[0].Message, "field Cache.tags is shallow-copied by Clone") {
+		!strings.Contains(fs[0].Message, "field Cache.lines is shallow-copied by Clone") {
 		t.Errorf("deleting %q went undetected; findings:\n%s", victim, analysistest.Render(fs))
 	}
 }

@@ -10,7 +10,6 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-	"unsafe"
 
 	"tdram/internal/mem"
 	"tdram/internal/sim"
@@ -24,28 +23,20 @@ type Config struct {
 	Latency sim.Tick // hit latency contribution of this level
 }
 
-// line is one cache line's bookkeeping.
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	lru   uint64 // larger = more recently used
-}
-
 // Cache is one level. It is purely functional: Access returns what
 // happened and what was evicted; the caller composes latencies.
 type Cache struct {
-	cfg     Config
-	sets    int
-	lines   []line // sets × ways
-	lruTick uint64
+	cfg  Config
+	sets int
 
-	// tags mirrors lines for the hit scan only: entry w holds tag+1 when
-	// lines[w] is valid and 0 otherwise, so the scan compares one compact
-	// word per way (a whole 8-way set fits in one host cache line) instead
-	// of walking the 24-byte bookkeeping structs. Invariant: tags[i] != 0
-	// exactly when lines[i].valid, and then tags[i] == lines[i].tag+1.
-	tags []uint64
+	// lines holds one word per line, sets × ways: (tag+1)<<1 | dirty,
+	// and 0 when the line is invalid, so the hit scan compares one
+	// compact word per way (a whole 8-way set fits in one host cache
+	// line).
+	lines []uint64
+	// lru holds each line's last-use tick; larger = more recently used.
+	lru     []uint64
+	lruTick uint64
 
 	// Power-of-two set decode (the common configuration): index by mask
 	// and shift instead of modulo and divide, which dominate the access
@@ -68,7 +59,7 @@ func New(cfg Config) (*Cache, error) {
 			cfg.Name, cfg.Size, cfg.Ways, mem.LineSize)
 	}
 	sets := int(lines) / cfg.Ways
-	c := &Cache{cfg: cfg, sets: sets, lines: make([]line, lines), tags: make([]uint64, lines)}
+	c := &Cache{cfg: cfg, sets: sets, lines: make([]uint64, lines), lru: make([]uint64, lines)}
 	if sets&(sets-1) == 0 {
 		c.pow2 = true
 		c.mask = uint64(sets - 1)
@@ -100,18 +91,27 @@ type Result struct {
 	VictimLine  uint64 // line address of the victim
 }
 
+// dirtyBit is the dirty flag in a line's word.
+const dirtyBit uint64 = 1
+
 // Lookup probes without modifying state (used by tests and by warmup
 // verification).
 func (c *Cache) Lookup(lineAddr uint64) bool {
-	set, tag := c.set(lineAddr)
+	_, hit := c.find(c.set(lineAddr))
+	return hit
+}
+
+// find returns the index in lines of the word holding tag in set and
+// whether it is resident.
+func (c *Cache) find(set int, tag uint64) (int, bool) {
 	base := set * c.cfg.Ways
-	key := tag + 1
-	for _, tv := range c.tags[base : base+c.cfg.Ways] {
-		if tv == key {
-			return true
+	key := (tag + 1) << 1
+	for w, l := range c.lines[base : base+c.cfg.Ways] {
+		if l&^dirtyBit == key {
+			return base + w, true
 		}
 	}
-	return false
+	return 0, false
 }
 
 // Access performs a load (dirty=false) or store (dirty=true) of one line,
@@ -121,88 +121,74 @@ func (c *Cache) Access(lineAddr uint64, dirty bool) Result {
 	set, tag := c.set(lineAddr)
 	base := set * c.cfg.Ways
 	ways := c.lines[base : base+c.cfg.Ways]
-	tags := c.tags[base : base+c.cfg.Ways]
-	key := tag + 1
+	lru := c.lru[base : base+c.cfg.Ways]
+	key := (tag + 1) << 1
 	c.lruTick++
-	// Hit scan first over the compact tag words — the overwhelmingly
-	// common case pays for nothing else; victim selection only runs once
-	// the miss is established.
-	for w, tv := range tags {
-		if tv == key {
-			l := &ways[w]
-			l.lru = c.lruTick
+	// Hit scan first — the overwhelmingly common case pays for nothing
+	// else; victim selection only runs once the miss is established.
+	for w, l := range ways {
+		if l&^dirtyBit == key {
+			lru[w] = c.lruTick
 			if dirty {
-				l.dirty = true
+				ways[w] = l | dirtyBit
 			}
 			c.Hits++
 			return Result{Hit: true}
 		}
 	}
 	// Victim: the first invalid way, else the least recently used (ties
-	// break toward the lowest way, matching the original combined scan).
+	// break toward the lowest way).
 	vw := 0
-	if ways[0].valid {
-		for w := 1; w < len(ways); w++ {
-			l := &ways[w]
-			if !l.valid {
-				vw = w
-				break
-			}
-			if l.lru < ways[vw].lru {
-				vw = w
-			}
+	for w, l := range ways {
+		if l == 0 {
+			vw = w
+			break
+		}
+		if lru[w] < lru[vw] {
+			vw = w
 		}
 	}
-	victim := &ways[vw]
+	victim := ways[vw]
 	c.Misses++
 	res := Result{}
-	if victim.valid {
+	if victim != 0 {
 		res.Evicted = true
-		res.VictimDirty = victim.dirty
-		res.VictimLine = victim.tag*uint64(c.sets) + uint64(set)
+		res.VictimDirty = victim&dirtyBit != 0
+		res.VictimLine = (victim>>1-1)*uint64(c.sets) + uint64(set)
 		c.Evictions++
-		if victim.dirty {
+		if res.VictimDirty {
 			c.DirtyEvictions++
 		}
 	}
-	*victim = line{tag: tag, valid: true, dirty: dirty, lru: c.lruTick}
-	tags[vw] = key
+	ways[vw] = key
+	if dirty {
+		ways[vw] = key | dirtyBit
+	}
+	lru[vw] = c.lruTick
 	return res
 }
 
 // Invalidate drops a line if present, returning whether it was dirty.
 func (c *Cache) Invalidate(lineAddr uint64) (present, dirty bool) {
-	set, tag := c.set(lineAddr)
-	base := set * c.cfg.Ways
-	key := tag + 1
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.tags[base+w] == key {
-			l := &c.lines[base+w]
-			present, dirty = true, l.dirty
-			l.valid = false
-			c.tags[base+w] = 0
-			return
-		}
+	i, hit := c.find(c.set(lineAddr))
+	if !hit {
+		return false, false
 	}
-	return
+	dirty = c.lines[i]&dirtyBit != 0
+	c.lines[i] = 0
+	return true, dirty
 }
 
 // MarkDirty sets the dirty bit of a resident line (e.g. a writeback from
 // an upper level landing in this one). It reports whether the line was
 // resident.
 func (c *Cache) MarkDirty(lineAddr uint64) bool {
-	set, tag := c.set(lineAddr)
-	base := set * c.cfg.Ways
-	key := tag + 1
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.tags[base+w] == key {
-			l := &c.lines[base+w]
-			l.dirty = true
-			l.lru = c.lruTick
-			return true
-		}
+	i, hit := c.find(c.set(lineAddr))
+	if hit {
+		c.lines[i] |= dirtyBit
+		c.lru[i] = c.lruTick
 	}
-	return false
+	return hit
 }
 
 // Clone returns a deep copy of the cache: content, LRU state, and hit
@@ -213,21 +199,21 @@ func (c *Cache) MarkDirty(lineAddr uint64) bool {
 //tdlint:copier Cache
 func (c *Cache) Clone() *Cache {
 	d := *c
-	d.lines = append([]line(nil), c.lines...)
-	d.tags = append([]uint64(nil), c.tags...)
+	d.lines = append([]uint64(nil), c.lines...)
+	d.lru = append([]uint64(nil), c.lru...)
 	return &d
 }
 
 // Bytes reports the memory the cache's arrays hold.
 func (c *Cache) Bytes() int64 {
-	return int64(len(c.lines))*int64(unsafe.Sizeof(line{})) + int64(len(c.tags))*8
+	return 8 * int64(len(c.lines)+len(c.lru))
 }
 
 // Occupancy reports the fraction of valid lines (warmup diagnostics).
 func (c *Cache) Occupancy() float64 {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid {
+	for _, l := range c.lines {
+		if l != 0 {
 			n++
 		}
 	}

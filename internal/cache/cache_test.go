@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -187,6 +189,145 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refLine and refCache are the cache's earlier layout, a 24-byte struct
+// per line with its LRU tick inline, kept as the reference model for the
+// packed words.
+type refLine struct {
+	tag   uint64
+	valid bool
+	dirty bool
+	lru   uint64
+}
+
+type refCache struct {
+	sets    uint64
+	ways    int
+	lines   []refLine
+	lruTick uint64
+
+	hits, misses, evictions, dirtyEvictions uint64
+}
+
+func (c *refCache) setOf(lineAddr uint64) (set, tag uint64, ways []refLine) {
+	set, tag = lineAddr%c.sets, lineAddr/c.sets
+	base := set * uint64(c.ways)
+	return set, tag, c.lines[base : base+uint64(c.ways)]
+}
+
+func (c *refCache) resident(lineAddr uint64) *refLine {
+	_, tag, ways := c.setOf(lineAddr)
+	for w := range ways {
+		if ways[w].valid && ways[w].tag == tag {
+			return &ways[w]
+		}
+	}
+	return nil
+}
+
+func (c *refCache) Access(lineAddr uint64, dirty bool) Result {
+	set, tag, ways := c.setOf(lineAddr)
+	c.lruTick++
+	if l := c.resident(lineAddr); l != nil {
+		l.lru = c.lruTick
+		l.dirty = l.dirty || dirty
+		c.hits++
+		return Result{Hit: true}
+	}
+	// The first invalid way, else the lowest LRU tick, ties to the
+	// lowest way.
+	var v *refLine
+	for w := range ways {
+		l := &ways[w]
+		if v == nil || !l.valid || (v.valid && l.lru < v.lru) {
+			if v == nil || v.valid {
+				v = l
+			}
+		}
+	}
+	c.misses++
+	res := Result{}
+	if v.valid {
+		res = Result{Evicted: true, VictimDirty: v.dirty, VictimLine: v.tag*c.sets + set}
+		c.evictions++
+		if v.dirty {
+			c.dirtyEvictions++
+		}
+	}
+	*v = refLine{tag: tag, valid: true, dirty: dirty, lru: c.lruTick}
+	return res
+}
+
+func (c *refCache) Invalidate(lineAddr uint64) (present, dirty bool) {
+	l := c.resident(lineAddr)
+	if l == nil {
+		return false, false
+	}
+	l.valid = false
+	return true, l.dirty
+}
+
+func (c *refCache) MarkDirty(lineAddr uint64) bool {
+	l := c.resident(lineAddr)
+	if l != nil {
+		l.dirty = true
+		l.lru = c.lruTick
+	}
+	return l != nil
+}
+
+// TestCacheReferenceProperty drives the packed cache and the reference
+// model through the same random sequences of Access (loads and stores),
+// Invalidate, MarkDirty and Lookup, and requires every return value and
+// counter to agree, over direct-mapped, 2- and 8-way levels and a
+// non-power-of-two set count. MarkDirty stamps the current tick without
+// advancing it, so equal ticks occur and the victim tie-break is tested.
+func TestCacheReferenceProperty(t *testing.T) {
+	for _, g := range []struct {
+		sets uint64
+		ways int
+	}{{16, 1}, {8, 2}, {4, 8}, {12, 1}, {12, 2}, {12, 8}} {
+		t.Run(fmt.Sprintf("%dx%d", g.sets, g.ways), func(t *testing.T) {
+			for seed := int64(1); seed <= 50; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				c, err := New(Config{Name: "p", Size: g.sets * uint64(g.ways) * 64, Ways: g.ways})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := &refCache{sets: g.sets, ways: g.ways, lines: make([]refLine, g.sets*uint64(g.ways))}
+				span := 3 * g.sets * uint64(g.ways)
+				for i := 0; i < 2000; i++ {
+					line := uint64(rng.Int63n(int64(span)))
+					if rng.Intn(2) == 0 {
+						line += 1<<58 - 2*span
+					}
+					var got, want any
+					switch op := rng.Intn(100); {
+					case op < 60:
+						store := rng.Intn(2) == 0
+						got, want = c.Access(line, store), ref.Access(line, store)
+					case op < 70:
+						p, d := c.Invalidate(line)
+						got = fmt.Sprint(p, d)
+						p, d = ref.Invalidate(line)
+						want = fmt.Sprint(p, d)
+					case op < 90:
+						got, want = c.MarkDirty(line), ref.MarkDirty(line)
+					default:
+						got, want = c.Lookup(line), ref.resident(line) != nil
+					}
+					if got != want {
+						t.Fatalf("seed %d, op %d on line %#x: packed cache returned %v, reference %v", seed, i, line, got, want)
+					}
+				}
+				if c.Hits != ref.hits || c.Misses != ref.misses || c.Evictions != ref.evictions || c.DirtyEvictions != ref.dirtyEvictions {
+					t.Fatalf("seed %d: counters %d/%d/%d/%d, reference %d/%d/%d/%d", seed,
+						c.Hits, c.Misses, c.Evictions, c.DirtyEvictions, ref.hits, ref.misses, ref.evictions, ref.dirtyEvictions)
+				}
+			}
+		})
 	}
 }
 

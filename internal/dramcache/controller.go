@@ -779,8 +779,8 @@ func (c *Controller) retryUpstream() {
 	}
 }
 
-// bearRole classifies a line's set for BEAR's set-dueling: one in 64
-// sets always fills (fill leader), one in 64 always bypasses (bypass
+// bearRole classifies a line's set for BEAR's set-dueling: one in 32
+// sets always fills (fill leader), one in 32 always bypasses (bypass
 // leader), the rest follow the selector.
 const (
 	bearFollower = iota
@@ -792,8 +792,7 @@ const bearPSelMax = 512
 const bearPSelThreshold = 0
 
 func (c *Controller) bearRole(line uint64) int {
-	set := line % c.tags.sets
-	switch set & 31 {
+	switch c.tags.setIndex(line) & 31 {
 	case 0:
 		return bearFillLeader
 	case 1:

@@ -1,9 +1,6 @@
 package dramcache
 
-import (
-	"fmt"
-	"unsafe"
-)
+import "fmt"
 
 // This file builds warmed DRAM-cache content: the stand-in for the
 // paper's LoopPoint checkpoints, which start every run with warmed SRAM
@@ -14,13 +11,15 @@ import (
 // warmup pass therefore produces a TagImage every same-geometry design
 // installs with InstallTags.
 
-// TagImage is frozen prewarmed cache content. It is immutable
-// after Image() returns: installs deep-copy it, so any number of
-// controllers can start from the same image.
+// TagImage is frozen prewarmed cache content in the tag store's packed
+// form: one word per line and, when ways > 1, one LRU tick per line. It
+// is immutable after Image() returns: installs deep-copy it, so any
+// number of controllers can start from the same image.
 type TagImage struct {
 	sets    uint64
 	ways    int
-	lines   []lineState
+	lines   []uint64
+	lru     []uint64 // nil when ways == 1
 	lruTick uint64
 }
 
@@ -54,8 +53,8 @@ func (p *Prewarmer) Prewarm(line uint64, write bool) {
 }
 
 // Image freezes the accumulated content into an immutable TagImage and
-// retires the Prewarmer: the image takes over its tag array instead of
-// copying it, so any later Prewarm or Image call panics.
+// retires the Prewarmer: the image takes over its line and LRU arrays
+// instead of copying them, so any later Prewarm or Image call panics.
 //
 //tdlint:copier TagImage
 func (p *Prewarmer) Image() *TagImage {
@@ -63,15 +62,17 @@ func (p *Prewarmer) Image() *TagImage {
 		sets:    p.t.sets,
 		ways:    p.t.ways,
 		lines:   p.t.lines,
+		lru:     p.t.lru,
 		lruTick: p.t.lruTick,
 	}
 	p.t = nil
 	return img
 }
 
-// Bytes reports the memory the image's tag array holds.
+// Bytes reports the memory the image's arrays hold: 8 B per line, and
+// 8 B more per line when the store keeps LRU ticks.
 func (img *TagImage) Bytes() int64 {
-	return int64(len(img.lines)) * int64(unsafe.Sizeof(lineState{}))
+	return 8 * int64(len(img.lines)+len(img.lru))
 }
 
 // InstallTags overwrites the controller's cache content with a deep
@@ -88,6 +89,7 @@ func (c *Controller) InstallTags(img *TagImage) error {
 			img.sets, img.ways, c.tags.sets, c.tags.ways)
 	}
 	copy(c.tags.lines, img.lines)
+	copy(c.tags.lru, img.lru)
 	c.tags.lruTick = img.lruTick
 	return nil
 }

@@ -16,14 +16,16 @@ import (
 	"tdram/internal/mem"
 )
 
-// lineState is the metadata of one resident line.
-type lineState struct {
-	tag      uint64
-	valid    bool
-	dirty    bool
-	inflight bool   // fill from main memory pending
-	lru      uint64 // larger = more recently used
-}
+// A line's state is one packed word: tag<<tagShift | lineValid |
+// lineDirty | lineInflight. A line address is a byte address over 64,
+// so a tag needs at most 58 bits. The zero word is an invalid line, and
+// an invalid line's word is always zero.
+const (
+	lineInflight uint64 = 1 << iota // fill from main memory pending
+	lineDirty
+	lineValid
+	tagShift = 3
+)
 
 // tagStore is the functional content state of the DRAM cache: a
 // set-associative (ways=1 gives the paper's default direct-mapped)
@@ -31,9 +33,14 @@ type lineState struct {
 // moves real data — and is the single source of truth every design's tag
 // check consults.
 type tagStore struct {
-	sets    uint64
-	ways    int
-	lines   []lineState
+	sets  uint64
+	ways  int
+	lines []uint64 // one packed word per line, sets × ways
+
+	// lru holds each line's last-use tick (larger = more recently used).
+	// It exists only when ways > 1: a direct-mapped store has no victim
+	// to choose, so it never compares ticks and never counts them.
+	lru     []uint64
 	lruTick uint64
 
 	// Power-of-two set decode: replace the modulo/divide pair — which
@@ -61,7 +68,10 @@ func newTagStore(capacityBytes uint64, ways int) (*tagStore, error) {
 	if lines == 0 || lines%uint64(ways) != 0 {
 		return nil, fmt.Errorf("dramcache: capacity %d not divisible into %d ways", capacityBytes, ways)
 	}
-	t := &tagStore{sets: lines / uint64(ways), ways: ways, lines: make([]lineState, lines)}
+	t := &tagStore{sets: lines / uint64(ways), ways: ways, lines: make([]uint64, lines)}
+	if ways > 1 {
+		t.lru = make([]uint64, lines)
+	}
 	if t.sets&(t.sets-1) == 0 {
 		t.pow2 = true
 		t.mask = t.sets - 1
@@ -128,14 +138,54 @@ func (t *tagStore) retire(line uint64) (dirty []uint64) {
 	}
 	t.retired[set] = true
 	base := set * uint64(t.ways)
-	for w := 0; w < t.ways; w++ {
-		l := &t.lines[base+uint64(w)]
-		if l.valid && l.dirty {
-			dirty = append(dirty, t.lineOf(set, l.tag))
+	for i := base; i < base+uint64(t.ways); i++ {
+		if w := t.lines[i]; w&lineDirty != 0 {
+			dirty = append(dirty, t.lineOf(set, w>>tagShift))
 		}
-		*l = lineState{}
+		t.lines[i] = 0
 	}
 	return dirty
+}
+
+// find returns the index in lines of the word holding tag in set and
+// whether it is resident; on a miss the index is the set's first word.
+func (t *tagStore) find(set, tag uint64) (i uint64, hit bool) {
+	base := set * uint64(t.ways)
+	key := tag<<tagShift | lineValid
+	for i = base; i < base+uint64(t.ways); i++ {
+		if t.lines[i]&^(lineDirty|lineInflight) == key {
+			return i, true
+		}
+	}
+	return base, false
+}
+
+// victim returns the index of the way a miss into the set starting at
+// base fills: the first invalid way, else the least recently used, ties
+// to the lowest way.
+func (t *tagStore) victim(base uint64) uint64 {
+	if t.lru == nil {
+		return base
+	}
+	v := base
+	for i := base; i < base+uint64(t.ways); i++ {
+		if t.lines[i] == 0 {
+			return i
+		}
+		if t.lru[i] < t.lru[v] {
+			v = i
+		}
+	}
+	return v
+}
+
+// touch makes line i the most recently used. Only the order of the
+// ticks matters, so a direct-mapped store, which keeps none, skips it.
+func (t *tagStore) touch(i uint64) {
+	if t.lru != nil {
+		t.lruTick++
+		t.lru[i] = t.lruTick
+	}
 }
 
 func (t *tagStore) probe(line uint64) probeResult {
@@ -143,23 +193,15 @@ func (t *tagStore) probe(line uint64) probeResult {
 		return probeResult{}
 	}
 	set, tag := t.set(line)
-	base := set * uint64(t.ways)
-	var victim *lineState
-	for w := 0; w < t.ways; w++ {
-		l := &t.lines[base+uint64(w)]
-		if l.valid && l.tag == tag {
-			return probeResult{Hit: true, Dirty: l.dirty, Inflight: l.inflight}
-		}
-		if victim == nil || !l.valid || (victim.valid && l.lru < victim.lru) {
-			if victim == nil || victim.valid {
-				victim = l
-			}
-		}
+	i, hit := t.find(set, tag)
+	if hit {
+		w := t.lines[i]
+		return probeResult{Hit: true, Dirty: w&lineDirty != 0, Inflight: w&lineInflight != 0}
 	}
 	r := probeResult{}
-	if victim.valid {
-		r.Dirty = victim.dirty
-		r.Victim = t.lineOf(set, victim.tag)
+	if w := t.lines[t.victim(i)]; w != 0 {
+		r.Dirty = w&lineDirty != 0
+		r.Victim = t.lineOf(set, w>>tagShift)
 	}
 	return r
 }
@@ -170,57 +212,46 @@ func (t *tagStore) probe(line uint64) probeResult {
 // displaced, its line address and dirty bit.
 //
 // write=true marks the line dirty (demand writes carry the full 64 B).
-// fillPending marks a read miss's new line inflight until the fill
-// arrives; writes install complete lines and are never inflight.
+// A read miss installs its line inflight until the fill arrives;
+// writes install complete lines and are never inflight.
 // install=false (BEAR's bypassed fills) evaluates the outcome without
 // modifying state.
 func (t *tagStore) access(line uint64, write, install bool) (out mem.Outcome, victim uint64, victimDirty bool) {
-	if t.isRetired(line) {
-		// Retired sets never hit and never install: the access behaves as
-		// a miss-clean the controller resolves against the backing store.
-		kind := mem.Read
-		if write {
-			kind = mem.Write
-		}
-		return mem.ClassifyOutcome(kind, false, false), 0, false
-	}
-	set, tag := t.set(line)
-	base := set * uint64(t.ways)
-	t.lruTick++
-	var slot *lineState
-	for w := 0; w < t.ways; w++ {
-		l := &t.lines[base+uint64(w)]
-		if l.valid && l.tag == tag {
-			// Hit.
-			l.lru = t.lruTick
-			if write {
-				l.dirty = true
-			}
-			if write {
-				return mem.WriteHit, 0, false
-			}
-			return mem.ReadHit, 0, false
-		}
-		if slot == nil || !l.valid || (slot.valid && l.lru < slot.lru) {
-			if slot == nil || slot.valid {
-				slot = l
-			}
-		}
-	}
-	// Miss: classify against the LRU victim, then install.
 	kind := mem.Read
 	if write {
 		kind = mem.Write
 	}
-	if slot.valid {
-		victim = t.lineOf(set, slot.tag)
-		victimDirty = slot.dirty
+	if t.isRetired(line) {
+		// Retired sets never hit and never install: the access behaves as
+		// a miss-clean the controller resolves against the backing store.
+		return mem.ClassifyOutcome(kind, false, false), 0, false
 	}
-	out = mem.ClassifyOutcome(kind, false, slot.valid && slot.dirty)
+	set, tag := t.set(line)
+	i, hit := t.find(set, tag)
+	if hit {
+		t.touch(i)
+		if write {
+			t.lines[i] |= lineDirty
+			return mem.WriteHit, 0, false
+		}
+		return mem.ReadHit, 0, false
+	}
+	// Miss: classify against the LRU victim, then install.
+	i = t.victim(i)
+	if w := t.lines[i]; w != 0 {
+		victim = t.lineOf(set, w>>tagShift)
+		victimDirty = w&lineDirty != 0
+	}
+	out = mem.ClassifyOutcome(kind, false, victimDirty)
 	if !install {
 		return out, victim, victimDirty
 	}
-	*slot = lineState{tag: tag, valid: true, dirty: write, inflight: !write, lru: t.lruTick}
+	w := tag<<tagShift | lineValid | lineInflight
+	if write {
+		w = tag<<tagShift | lineValid | lineDirty
+	}
+	t.lines[i] = w
+	t.touch(i)
 	return out, victim, victimDirty
 }
 
@@ -228,40 +259,30 @@ func (t *tagStore) access(line uint64, write, install bool) (out mem.Outcome, vi
 // It reports false when the line was displaced before its fill arrived
 // (possible under heavy conflict traffic; the fill is then dropped).
 func (t *tagStore) fillDone(line uint64) bool {
-	set, tag := t.set(line)
-	base := set * uint64(t.ways)
-	for w := 0; w < t.ways; w++ {
-		l := &t.lines[base+uint64(w)]
-		if l.valid && l.tag == tag {
-			l.inflight = false
-			return true
-		}
+	i, hit := t.find(t.set(line))
+	if hit {
+		t.lines[i] &^= lineInflight
 	}
-	return false
+	return hit
 }
 
 // markDirty sets the dirty bit of a resident line (used when a waiting
 // write drains from the conflict buffer after its line's fill).
 func (t *tagStore) markDirty(line uint64) bool {
-	set, tag := t.set(line)
-	base := set * uint64(t.ways)
-	for w := 0; w < t.ways; w++ {
-		l := &t.lines[base+uint64(w)]
-		if l.valid && l.tag == tag {
-			l.dirty = true
-			return true
-		}
+	i, hit := t.find(t.set(line))
+	if hit {
+		t.lines[i] |= lineDirty
 	}
-	return false
+	return hit
 }
 
 // occupancy reports valid and dirty line fractions (diagnostics).
 func (t *tagStore) occupancy() (valid, dirty float64) {
 	var v, d int
-	for i := range t.lines {
-		if t.lines[i].valid {
+	for _, w := range t.lines {
+		if w != 0 {
 			v++
-			if t.lines[i].dirty {
+			if w&lineDirty != 0 {
 				d++
 			}
 		}

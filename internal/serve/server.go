@@ -63,10 +63,10 @@ const memCacheBytes = 64 << 20
 
 // imageCacheBytes bounds the warmup images a Server keeps across jobs,
 // measured from the images' own arrays (system.WarmupImage.Bytes). A
-// default request's image (8 MiB cache, 8 cores) holds 3.3 MiB, almost
-// all of it the 24-byte-per-line tag array, so the bound keeps the
-// images of about two default jobs; a 1 GiB cache's 384 MiB tag array is
-// never kept.
+// default request's image (8 MiB cache, 8 cores) holds about 1.1 MiB,
+// almost all of it the 8-byte-per-line tag array, so the bound keeps
+// about 56 such images, the six of each of nine default jobs; a 1 GiB
+// cache's 128 MiB tag array is never kept.
 const imageCacheBytes = 64 << 20
 
 // runMatrix is the sweep entry point; tests replace it to hold the

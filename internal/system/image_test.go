@@ -7,7 +7,34 @@ import (
 	"testing"
 
 	"tdram/internal/dramcache"
+	"tdram/internal/workload"
 )
+
+// TestImageBytesMatchesArrays: a 16 MiB image reports exactly the arrays
+// it holds — 8 B per DRAM-cache line direct-mapped and 16 B at 8 ways
+// (the LRU ticks), plus 8 cores × 1,088 SRAM lines (L1 and L2) × 16 B —
+// so a cache of images bounded by Bytes cannot drift from what it keeps.
+func TestImageBytesMatchesArrays(t *testing.T) {
+	spec, err := workload.ByName("bfs.22")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const capacity, lines = 16 << 20, 16 << 20 / 64
+	for _, c := range []struct {
+		ways    int
+		perLine int64
+	}{{1, 8}, {8, 16}} {
+		cfg := DefaultConfig(dramcache.TDRAM, spec, capacity)
+		cfg.Cache.Ways = c.ways
+		img, err := BuildWarmupImage(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := img.Bytes(), lines*c.perLine+8*1088*16; got != want {
+			t.Errorf("%d-way image: Bytes() = %d, want %d", c.ways, got, want)
+		}
+	}
+}
 
 // The fork soundness property: a cell seeded from a shared WarmupImage
 // (built under TDRAM's config) must produce a Result bit-identical to
