@@ -34,8 +34,10 @@ type Cache struct {
 	// compact word per way (a whole 8-way set fits in one host cache
 	// line).
 	lines []uint64
-	// lru holds each line's last-use tick; larger = more recently used.
-	lru     []uint64
+	// rec holds two words per set: its recency word (below) and the
+	// set's newest tick. lruTick is the stamp counter every Access
+	// advances.
+	rec     []uint64
 	lruTick uint64
 
 	// Power-of-two set decode (the common configuration): index by mask
@@ -48,10 +50,32 @@ type Cache struct {
 	Hits, Misses, Evictions, DirtyEvictions uint64
 }
 
+// A set's recency word lists its ways from most to least recently used
+// in 4-bit fields, field 0 lowest; the fields past the ways used so far
+// hold 15. Its top nibble counts the leading ways that share the set's
+// newest tick. The order is exactly the one per-line ticks would give:
+// newest tick first, ties with the higher way first, so a full set's
+// victim (the lowest tick, ties to the lowest way) is field Ways-1.
+// Access stamps a fresh tick, so its way leads alone. MarkDirty restamps
+// the current tick without advancing it, so its way ties with the
+// leading ways when they hold that tick and joins their group in way
+// order. Every later stamp is newer, so only the leading group can grow
+// and the groups behind it keep their order.
+//
+// maxWays is the most ways the 15 fields can order; wayFields masks
+// them, nibbles has a 1 in each, and the group count sits above them at
+// groupShift.
+const (
+	maxWays           = 15
+	groupShift        = 60
+	wayFields  uint64 = 1<<groupShift - 1
+	nibbles           = wayFields / 15
+)
+
 // New builds a cache level. Size must be a multiple of Ways*LineSize.
 func New(cfg Config) (*Cache, error) {
-	if cfg.Ways <= 0 {
-		return nil, fmt.Errorf("cache %s: ways = %d", cfg.Name, cfg.Ways)
+	if cfg.Ways <= 0 || cfg.Ways > maxWays {
+		return nil, fmt.Errorf("cache %s: ways = %d, want 1..%d", cfg.Name, cfg.Ways, maxWays)
 	}
 	lines := cfg.Size / mem.LineSize
 	if lines == 0 || lines%uint64(cfg.Ways) != 0 {
@@ -59,7 +83,10 @@ func New(cfg Config) (*Cache, error) {
 			cfg.Name, cfg.Size, cfg.Ways, mem.LineSize)
 	}
 	sets := int(lines) / cfg.Ways
-	c := &Cache{cfg: cfg, sets: sets, lines: make([]uint64, lines), lru: make([]uint64, lines)}
+	c := &Cache{cfg: cfg, sets: sets, lines: make([]uint64, lines), rec: make([]uint64, 2*sets)}
+	for s := 0; s < len(c.rec); s += 2 {
+		c.rec[s] = wayFields
+	}
 	if sets&(sets-1) == 0 {
 		c.pow2 = true
 		c.mask = uint64(sets - 1)
@@ -121,51 +148,91 @@ func (c *Cache) Access(lineAddr uint64, dirty bool) Result {
 	set, tag := c.set(lineAddr)
 	base := set * c.cfg.Ways
 	ways := c.lines[base : base+c.cfg.Ways]
-	lru := c.lru[base : base+c.cfg.Ways]
 	key := (tag + 1) << 1
 	c.lruTick++
-	// Hit scan first — the overwhelmingly common case pays for nothing
-	// else; victim selection only runs once the miss is established.
-	for w, l := range ways {
+	// One scan finds a hit and, for a miss, the first invalid way.
+	w, free := len(ways)-1, len(ways)
+	for ; w >= 0; w-- {
+		l := ways[w]
 		if l&^dirtyBit == key {
-			lru[w] = c.lruTick
-			if dirty {
-				ways[w] = l | dirtyBit
-			}
-			c.Hits++
-			return Result{Hit: true}
-		}
-	}
-	// Victim: the first invalid way, else the least recently used (ties
-	// break toward the lowest way).
-	vw := 0
-	for w, l := range ways {
-		if l == 0 {
-			vw = w
 			break
 		}
-		if lru[w] < lru[vw] {
-			vw = w
+		if l == 0 {
+			free = w
 		}
 	}
-	victim := ways[vw]
-	c.Misses++
-	res := Result{}
-	if victim != 0 {
-		res.Evicted = true
-		res.VictimDirty = victim&dirtyBit != 0
-		res.VictimLine = (victim>>1-1)*uint64(c.sets) + uint64(set)
-		c.Evictions++
-		if res.VictimDirty {
-			c.DirtyEvictions++
+	res := Result{Hit: w >= 0}
+	if res.Hit {
+		c.Hits++
+	} else {
+		// Victim: the first invalid way, else the least recently used,
+		// the recency word's last field (every way of a full set has
+		// been stamped).
+		w = free
+		if w == len(ways) {
+			w = int(c.rec[2*set] >> (4 * (len(ways) - 1)) & 15)
 		}
+		c.Misses++
+		if victim := ways[w]; victim != 0 {
+			res.Evicted = true
+			res.VictimDirty = victim&dirtyBit != 0
+			res.VictimLine = (victim>>1-1)*uint64(c.sets) + uint64(set)
+			c.Evictions++
+			if res.VictimDirty {
+				c.DirtyEvictions++
+			}
+		}
+		ways[w] = key
 	}
-	ways[vw] = key
 	if dirty {
-		ways[vw] = key | dirtyBit
+		ways[w] |= dirtyBit
 	}
-	lru[vw] = c.lruTick
+	// A fresh tick: w leads the recency word alone.
+	i := 2 * set
+	l := c.rec[i] & wayFields
+	c.rec[i] = 1<<groupShift | moveTo(l, span(l, w), w, 0)
+	c.rec[i+1] = c.lruTick
 	return res
+}
+
+// restamp gives way w of set the current tick without advancing it. If
+// the set's leading group holds that tick, w joins it ahead of its lower
+// ways; otherwise w leads alone.
+func (c *Cache) restamp(set, w int) {
+	i := 2 * set
+	l := c.rec[i] & wayFields
+	u := span(l, w)
+	g := uint(0) // the leading group's size, if it holds the current tick
+	if c.rec[i+1] == c.lruTick {
+		g = uint(c.rec[i] >> groupShift)
+	}
+	if u < 1<<(4*g) {
+		return // already in the group
+	}
+	q := uint(0)
+	for q < g && int(l>>(4*q)&15) > w {
+		q++
+	}
+	c.rec[i] = uint64(g+1)<<groupShift | moveTo(l, u, w, q)
+	c.rec[i+1] = c.lruTick
+}
+
+// span returns the mask of l's fields up to and including the one that
+// holds way w, or of every field when none does (w has never been
+// used). The fields below w's are non-zero after the XOR, so no borrow
+// reaches it and the lowest flagged bit is exact.
+func span(l uint64, w int) uint64 {
+	x := l ^ uint64(w)*nibbles
+	t := (x - nibbles) &^ x & (nibbles << 3)
+	return (t&-t)<<1 - 1
+}
+
+// moveTo moves way w to field q of l from the last field of u, its span,
+// shifting the fields between up by one. When w is missing every field
+// from q shifts and the last, unused, drops off.
+func moveTo(l, u uint64, w int, q uint) uint64 {
+	below := uint64(1)<<(4*q) - 1
+	return l&below | (l&(u>>4)&^below&(wayFields>>4))<<4 | l&^u | uint64(w)<<(4*q)
 }
 
 // Invalidate drops a line if present, returning whether it was dirty.
@@ -183,10 +250,11 @@ func (c *Cache) Invalidate(lineAddr uint64) (present, dirty bool) {
 // an upper level landing in this one). It reports whether the line was
 // resident.
 func (c *Cache) MarkDirty(lineAddr uint64) bool {
-	i, hit := c.find(c.set(lineAddr))
+	set, tag := c.set(lineAddr)
+	i, hit := c.find(set, tag)
 	if hit {
 		c.lines[i] |= dirtyBit
-		c.lru[i] = c.lruTick
+		c.restamp(set, i-set*c.cfg.Ways)
 	}
 	return hit
 }
@@ -200,13 +268,14 @@ func (c *Cache) MarkDirty(lineAddr uint64) bool {
 func (c *Cache) Clone() *Cache {
 	d := *c
 	d.lines = append([]uint64(nil), c.lines...)
-	d.lru = append([]uint64(nil), c.lru...)
+	d.rec = append([]uint64(nil), c.rec...)
 	return &d
 }
 
-// Bytes reports the memory the cache's arrays hold.
+// Bytes reports the memory the cache's arrays hold: 8 B per line and
+// 16 B per set.
 func (c *Cache) Bytes() int64 {
-	return 8 * int64(len(c.lines)+len(c.lru))
+	return 8 * int64(len(c.lines)+len(c.rec))
 }
 
 // Occupancy reports the fraction of valid lines (warmup diagnostics).

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"tdram/internal/sim"
+	"tdram/internal/workload"
 )
 
 func small(t *testing.T, ways int) *Cache {
@@ -27,6 +28,12 @@ func TestNewErrors(t *testing.T) {
 	}
 	if _, err := New(Config{Size: 0, Ways: 1}); err == nil {
 		t.Error("zero size accepted")
+	}
+	if _, err := New(Config{Size: maxWays * 64, Ways: maxWays}); err != nil {
+		t.Errorf("%d ways rejected: %v", maxWays, err)
+	}
+	if _, err := New(Config{Size: (maxWays + 1) * 64, Ways: maxWays + 1}); err == nil {
+		t.Errorf("%d ways accepted; the recency word orders at most %d", maxWays+1, maxWays)
 	}
 }
 
@@ -278,19 +285,39 @@ func (c *refCache) MarkDirty(lineAddr uint64) bool {
 	return l != nil
 }
 
+// tiedAtTick counts the valid ways of lineAddr's set whose tick is the
+// current one.
+func (c *refCache) tiedAtTick(lineAddr uint64) int {
+	_, _, ways := c.setOf(lineAddr)
+	n := 0
+	for _, l := range ways {
+		if l.valid && l.lru == c.lruTick {
+			n++
+		}
+	}
+	return n
+}
+
 // TestCacheReferenceProperty drives the packed cache and the reference
 // model through the same random sequences of Access (loads and stores),
 // Invalidate, MarkDirty and Lookup, and requires every return value and
-// counter to agree, over direct-mapped, 2- and 8-way levels and a
-// non-power-of-two set count. MarkDirty stamps the current tick without
-// advancing it, so equal ticks occur and the victim tie-break is tested.
+// counter to agree, over direct-mapped, 2-, 8- and 15-way (the most a
+// recency word orders) levels and a non-power-of-two set count.
+// MarkDirty stamps the current tick without advancing it, so equal ticks
+// occur and the victim tie-break is tested. Seeds 1-50 draw each
+// operation independently; seeds 51-100 mix in dirty runs, an Access
+// followed by MarkDirty on resident lines of its set with no Access
+// between, so ties of three or more ways form. The test counts those in
+// the reference model and fails if a geometry with three or more ways
+// saw none.
 func TestCacheReferenceProperty(t *testing.T) {
 	for _, g := range []struct {
 		sets uint64
 		ways int
-	}{{16, 1}, {8, 2}, {4, 8}, {12, 1}, {12, 2}, {12, 8}} {
+	}{{16, 1}, {8, 2}, {4, 8}, {12, 1}, {12, 2}, {12, 8}, {1, maxWays}} {
 		t.Run(fmt.Sprintf("%dx%d", g.sets, g.ways), func(t *testing.T) {
-			for seed := int64(1); seed <= 50; seed++ {
+			ties := 0
+			for seed := int64(1); seed <= 100; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				c, err := New(Config{Name: "p", Size: g.sets * uint64(g.ways) * 64, Ways: g.ways})
 				if err != nil {
@@ -298,28 +325,43 @@ func TestCacheReferenceProperty(t *testing.T) {
 				}
 				ref := &refCache{sets: g.sets, ways: g.ways, lines: make([]refLine, g.sets*uint64(g.ways))}
 				span := 3 * g.sets * uint64(g.ways)
+				check := func(i int, line uint64, got, want any) {
+					t.Helper()
+					if got != want {
+						t.Fatalf("seed %d, op %d on line %#x: packed cache returned %v, reference %v", seed, i, line, got, want)
+					}
+				}
 				for i := 0; i < 2000; i++ {
 					line := uint64(rng.Int63n(int64(span)))
 					if rng.Intn(2) == 0 {
 						line += 1<<58 - 2*span
 					}
-					var got, want any
 					switch op := rng.Intn(100); {
+					case seed > 50 && op < 30:
+						store := rng.Intn(2) == 0
+						check(i, line, c.Access(line, store), ref.Access(line, store))
+						set, _, ways := ref.setOf(line)
+						for k := rng.Intn(2 * g.ways); k > 0; k-- {
+							l := line
+							if w := ways[rng.Intn(g.ways)]; w.valid {
+								l = w.tag*g.sets + set
+							}
+							check(i, l, c.MarkDirty(l), ref.MarkDirty(l))
+						}
+						if ref.tiedAtTick(line) >= 3 {
+							ties++
+						}
 					case op < 60:
 						store := rng.Intn(2) == 0
-						got, want = c.Access(line, store), ref.Access(line, store)
+						check(i, line, c.Access(line, store), ref.Access(line, store))
 					case op < 70:
 						p, d := c.Invalidate(line)
-						got = fmt.Sprint(p, d)
-						p, d = ref.Invalidate(line)
-						want = fmt.Sprint(p, d)
+						rp, rd := ref.Invalidate(line)
+						check(i, line, fmt.Sprint(p, d), fmt.Sprint(rp, rd))
 					case op < 90:
-						got, want = c.MarkDirty(line), ref.MarkDirty(line)
+						check(i, line, c.MarkDirty(line), ref.MarkDirty(line))
 					default:
-						got, want = c.Lookup(line), ref.resident(line) != nil
-					}
-					if got != want {
-						t.Fatalf("seed %d, op %d on line %#x: packed cache returned %v, reference %v", seed, i, line, got, want)
+						check(i, line, c.Lookup(line), ref.resident(line) != nil)
 					}
 				}
 				if c.Hits != ref.hits || c.Misses != ref.misses || c.Evictions != ref.evictions || c.DirtyEvictions != ref.dirtyEvictions {
@@ -327,6 +369,10 @@ func TestCacheReferenceProperty(t *testing.T) {
 						c.Hits, c.Misses, c.Evictions, c.DirtyEvictions, ref.hits, ref.misses, ref.evictions, ref.dirtyEvictions)
 				}
 			}
+			if g.ways >= 3 && ties == 0 {
+				t.Errorf("no dirty run tied three or more ways")
+			}
+			t.Logf("%d dirty runs tied three or more ways", ties)
 		})
 	}
 }
@@ -409,10 +455,44 @@ func TestHierarchyStoreDirtyPropagation(t *testing.T) {
 	}
 }
 
+// BenchmarkHierarchyAccess times Hierarchy.Access on one core's stack.
+// The is.D and bfs.22 cases replay core 0's recorded warmup stream (a
+// 16 MiB cache, 8 cores, seed 1: the accesses BuildWarmupImage walks)
+// through the image's 4 KiB L1 and 64 KiB L2, where almost every access
+// misses both levels; the stride case walks a fixed sequence through the
+// Table III stack.
 func BenchmarkHierarchyAccess(b *testing.B) {
-	h := NewHierarchy()
-	h.WriteBack = func(uint64) {}
-	for i := 0; i < b.N; i++ {
-		h.Access(uint64(i*13)%100000, i%4 == 0)
+	for _, name := range []string{"is.D", "bfs.22"} {
+		b.Run(name, func(b *testing.B) {
+			spec, err := workload.ByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			st := spec.NewStream(0, 8, 16<<20, 1)
+			rec := make([]uint64, max(2*st.Lines(), 4096))
+			for i := range rec {
+				line, store, _ := st.Next()
+				rec[i] = line << 1
+				if store {
+					rec[i] |= 1
+				}
+			}
+			h := NewSizedHierarchy(4<<10, 64<<10)
+			h.WriteBack = func(uint64) {}
+			b.ResetTimer()
+			for i, j := 0, 0; i < b.N; i++ {
+				h.Access(rec[j]>>1, rec[j]&1 != 0)
+				if j++; j == len(rec) {
+					j = 0
+				}
+			}
+		})
 	}
+	b.Run("stride", func(b *testing.B) {
+		h := NewHierarchy()
+		h.WriteBack = func(uint64) {}
+		for i := 0; i < b.N; i++ {
+			h.Access(uint64(i*13)%100000, i%4 == 0)
+		}
+	})
 }

@@ -276,17 +276,16 @@ func (t *tagStore) markDirty(line uint64) bool {
 	return hit
 }
 
-// occupancy reports valid and dirty line fractions (diagnostics).
+// occupancy reports valid and dirty line fractions (diagnostics). It
+// scans the whole array at the end of every run, so it counts without
+// branches: (w|-w)>>63 is 1 for any non-zero (valid) word, and an
+// invalid word is zero, so its dirty bit needs no valid check.
 func (t *tagStore) occupancy() (valid, dirty float64) {
-	var v, d int
+	var v, d uint64
 	for _, w := range t.lines {
-		if w != 0 {
-			v++
-			if w&lineDirty != 0 {
-				d++
-			}
-		}
+		v += (w | -w) >> 63
+		d += w & lineDirty
 	}
 	n := float64(len(t.lines))
-	return float64(v) / n, float64(d) / n
+	return float64(v) / n, float64(d/lineDirty) / n
 }

@@ -269,7 +269,8 @@ func (t *refStore) markDirty(line uint64) bool {
 // TestTagStoreReferenceProperty drives the packed store and the
 // reference model through the same random sequences of access (every
 // write and install combination), probe, fillDone, markDirty and retire,
-// and requires every return value to agree. The geometries cover
+// and requires every return value to agree, and occupancy to match the
+// reference's valid and dirty counts at the end of each sequence. The geometries cover
 // direct-mapped, 2- and 8-way stores and a non-power-of-two set count;
 // one line in two carries a tag in the top bits a line address can use.
 func TestTagStoreReferenceProperty(t *testing.T) {
@@ -310,6 +311,19 @@ func TestTagStoreReferenceProperty(t *testing.T) {
 					if got != want {
 						t.Fatalf("seed %d, op %d on line %#x: packed store returned %v, reference %v", seed, i, line, got, want)
 					}
+				}
+				var valid, dirty int
+				for _, l := range ref.lines {
+					if l.valid {
+						valid++
+						if l.dirty {
+							dirty++
+						}
+					}
+				}
+				n := float64(len(ref.lines))
+				if v, d := ts.occupancy(); v != float64(valid)/n || d != float64(dirty)/n {
+					t.Fatalf("seed %d: occupancy %v valid, %v dirty; reference %d and %d of %v lines", seed, v, d, valid, dirty, n)
 				}
 			}
 		})

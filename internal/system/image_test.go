@@ -12,8 +12,9 @@ import (
 
 // TestImageBytesMatchesArrays: a 16 MiB image reports exactly the arrays
 // it holds — 8 B per DRAM-cache line direct-mapped and 16 B at 8 ways
-// (the LRU ticks), plus 8 cores × 1,088 SRAM lines (L1 and L2) × 16 B —
-// so a cache of images bounded by Bytes cannot drift from what it keeps.
+// (the LRU ticks), plus 8 cores × 1,088 SRAM lines (L1 and L2) × 8 B and
+// their 136 8-way sets × 16 B (the recency word and its tick) — so a
+// cache of images bounded by Bytes cannot drift from what it keeps.
 func TestImageBytesMatchesArrays(t *testing.T) {
 	spec, err := workload.ByName("bfs.22")
 	if err != nil {
@@ -30,7 +31,7 @@ func TestImageBytesMatchesArrays(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := img.Bytes(), lines*c.perLine+8*1088*16; got != want {
+		if got, want := img.Bytes(), lines*c.perLine+8*(1088*8+136*16); got != want {
 			t.Errorf("%d-way image: Bytes() = %d, want %d", c.ways, got, want)
 		}
 	}

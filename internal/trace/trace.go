@@ -26,6 +26,20 @@ import (
 // Magic identifies the binary trace format.
 const Magic = "TDTRACE1"
 
+// lineLimit bounds an event's line: a line is a 64-bit byte address
+// over 64, so it is below 2^58. A larger one would wrap when the player
+// turns it back into a byte address, and alias tags in the cache content
+// Prewarm builds from the raw line, so both sides of the codec reject it.
+const lineLimit uint64 = 1 << (64 - mem.LineShift)
+
+// checkLine rejects a line beyond the line address space.
+func checkLine(line uint64) error {
+	if line >= lineLimit {
+		return fmt.Errorf("trace: line %#x beyond the %d-bit line address space", line, 64-mem.LineShift)
+	}
+	return nil
+}
+
 // Event is one 64 B demand as it was accepted by the controller.
 type Event struct {
 	Tick sim.Tick // acceptance time
@@ -66,6 +80,9 @@ func (tw *Writer) Append(e Event) error {
 	}
 	if e.Core > 127 {
 		return fmt.Errorf("trace: core %d exceeds the format's 7-bit field", e.Core)
+	}
+	if err := checkLine(e.Line); err != nil {
+		return err
 	}
 	n := binary.PutUvarint(tw.buf[:], uint64(e.Tick-tw.lastTick))
 	if _, err := tw.w.Write(tw.buf[:n]); err != nil {
@@ -145,6 +162,9 @@ func (tr *Reader) Next() (Event, error) {
 	line, err := binary.ReadUvarint(tr.r)
 	if err != nil {
 		return Event{}, fmt.Errorf("trace: line: %w", err)
+	}
+	if err := checkLine(line); err != nil {
+		return Event{}, err
 	}
 	tr.lastTick += sim.Tick(delta)
 	e := Event{Tick: tr.lastTick, Core: flags & 0x7F, Kind: mem.Read, Line: line}

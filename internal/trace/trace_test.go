@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -78,7 +79,34 @@ func TestEmptyTrace(t *testing.T) {
 	}
 }
 
-// Property: arbitrary time-ordered event sequences round-trip exactly.
+// A line is a byte address over 64, so 2^58 - 1 is the last one a trace
+// carries: the writer refuses 2^58 and the reader refuses it from a
+// stream written by hand.
+func TestLineBound(t *testing.T) {
+	const last = 1<<58 - 1
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	if err := w.Append(Event{Tick: 1, Line: last}); err != nil {
+		t.Fatalf("line 2^58-1 refused: %v", err)
+	}
+	if err := w.Append(Event{Tick: 2, Line: last + 1}); err == nil {
+		t.Error("writer accepted line 2^58")
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ReadAll(&buf); err != nil || len(got) != 1 || got[0].Line != last {
+		t.Errorf("reading line 2^58-1: %v, %+v", err, got)
+	}
+	raw := append([]byte(Magic), 0, 0)
+	raw = binary.AppendUvarint(raw, last+1)
+	if _, err := ReadAll(bytes.NewReader(raw)); err == nil {
+		t.Error("reader accepted line 2^58")
+	}
+}
+
+// Property: time-ordered event sequences of lines below 2^58 round-trip
+// exactly.
 func TestRoundTripProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -90,7 +118,7 @@ func TestRoundTripProperty(t *testing.T) {
 				Tick: tick,
 				Core: uint8(rng.Intn(128)),
 				Kind: mem.Kind(rng.Intn(2)),
-				Line: rng.Uint64() >> uint(rng.Intn(40)),
+				Line: rng.Uint64() >> uint(mem.LineShift+rng.Intn(40)),
 			})
 		}
 		var buf bytes.Buffer
